@@ -23,9 +23,9 @@
 
 use std::process::ExitCode;
 
-use gv_check::{check_series, check_streaming};
+use gv_check::{check_sax_records, check_series, check_streaming};
 use gv_discord::HotSaxConfig;
-use gv_obs::NoopRecorder;
+use gv_obs::{Counter, LocalRecorder, NoopRecorder};
 use gva_core::{
     engine::THREADS_ENV, BruteForceDetector, Detector, Error, HotSaxDetector, PipelineConfig,
     SeriesView, StreamingDetector, Workspace,
@@ -33,12 +33,14 @@ use gva_core::{
 use rand::{Rng, SeedableRng, StdRng};
 
 /// One adversarial input family per fuzz slot, cycled round-robin.
-const FAMILIES: [&str; 7] = [
+const FAMILIES: [&str; 9] = [
     "random-walk",
     "sine+noise",
     "constant",
     "near-constant",
     "spike-train",
+    "large-offset",
+    "quantized",
     "nan/inf-injected",
     "shorter-than-window",
 ];
@@ -49,6 +51,8 @@ struct FamilyTally {
     passed: usize,
     /// Benign pipeline refusals (no candidates on degenerate series).
     benign: usize,
+    /// Windows the SAX kernel recomputed on its two-pass fallback.
+    sax_fallbacks: u64,
     violations: Vec<String>,
 }
 
@@ -91,8 +95,8 @@ fn main() -> ExitCode {
         };
 
         match family {
-            5 => fuzz_non_finite(i, &mut rng, &config, k, &mut ws, tally),
-            6 => fuzz_short(i, &mut rng, &config, k, window, threads, &mut ws, tally),
+            7 => fuzz_non_finite(i, &mut rng, &config, k, &mut ws, tally),
+            8 => fuzz_short(i, &mut rng, &config, k, window, threads, &mut ws, tally),
             _ => {
                 let values = gen_valid(family, &mut rng);
                 // Sometimes shorter than the series (eviction active),
@@ -105,17 +109,18 @@ fn main() -> ExitCode {
 
     println!();
     println!(
-        "{:<22} {:>6} {:>8} {:>8} {:>11}",
-        "family", "runs", "passed", "benign", "violations"
+        "{:<22} {:>6} {:>8} {:>8} {:>11} {:>14}",
+        "family", "runs", "passed", "benign", "violations", "sax_fallbacks"
     );
     let mut total_violations = 0;
     for (name, tally) in FAMILIES.iter().zip(&tallies) {
         println!(
-            "{name:<22} {:>6} {:>8} {:>8} {:>11}",
+            "{name:<22} {:>6} {:>8} {:>8} {:>11} {:>14}",
             tally.runs,
             tally.passed,
             tally.benign,
-            tally.violations.len()
+            tally.violations.len(),
+            tally.sax_fallbacks
         );
         total_violations += tally.violations.len();
     }
@@ -160,7 +165,7 @@ fn parse_args() -> Result<(u64, usize), String> {
     Ok((seed, count))
 }
 
-/// A series from one of the five structurally valid families.
+/// A series from one of the seven structurally valid families.
 fn gen_valid(family: usize, rng: &mut StdRng) -> Vec<f64> {
     let n = rng.gen_range(300..700usize);
     match family {
@@ -208,12 +213,39 @@ fn gen_valid(family: usize, rng: &mut StdRng) -> Vec<f64> {
             }
             v
         }
-        _ => unreachable!("valid families are 0..=4"),
+        // Large baseline (±1e8): the SAX kernel's error bound must cover
+        // the reference's own rounding at the absolute level, and some
+        // windows take its two-pass fallback.
+        5 => {
+            let base = if rng.gen_bool(0.5) { 1e8 } else { -1e8 };
+            let period = rng.gen_range(8.0..40.0f64);
+            let mut level = 0.0f64;
+            (0..n)
+                .map(|t| {
+                    level += rng.gen_range(-0.1..0.1);
+                    base + (t as f64 / period).sin() + level
+                })
+                .collect()
+        }
+        // Quantized / integer-valued: ties put bucket means exactly on
+        // alphabet cuts — the kernel's knife-edge case.
+        6 => {
+            let period = rng.gen_range(4.0..30.0f64);
+            let amp = rng.gen_range(1..=4) as f64;
+            (0..n)
+                .map(|t| {
+                    let v = amp * (t as f64 / period).sin() + rng.gen_range(-0.5..0.5);
+                    v.round()
+                })
+                .collect()
+        }
+        _ => unreachable!("valid families are 0..=6"),
     }
 }
 
 /// Valid series: every checker must pass; the only benign refusal is a
 /// candidate-free grammar on degenerate (constant-like) input. Also runs
+/// the SAX-exactness check (kernel records vs the two-pass reference),
 /// the brute-force-vs-HOTSAX differential and the streaming differential
 /// (incremental engine at `horizon` vs batch on the retained slice) on
 /// the same series.
@@ -245,6 +277,20 @@ fn fuzz_valid(
         Err(e) => tally
             .violations
             .push(format!("series {i}: pipeline refused a valid series: {e}")),
+    }
+    let recorder = LocalRecorder::new();
+    match ws.build_model(config, values, &recorder) {
+        Ok(model) => {
+            tally.sax_fallbacks += recorder.counter(Counter::SaxFallbacks);
+            let sax = check_sax_records(&model, values, config);
+            tally
+                .violations
+                .extend(sax.violations.iter().map(|v| format!("series {i}: {v}")));
+            ws.recycle_model(model);
+        }
+        Err(e) => tally.violations.push(format!(
+            "series {i}: model build refused a valid series: {e}"
+        )),
     }
     if let Some(v) = baseline_differential(values, config, k, ws) {
         tally.violations.push(format!("series {i}: {v}"));

@@ -22,11 +22,16 @@
 //! 6. **Streaming differential** (§7): a bounded-horizon incremental
 //!    engine is indistinguishable — density curve, discords, grammar
 //!    structure — from a from-scratch batch run on the slice it retains
-//!    ([`check_streaming`]).
+//!    ([`check_streaming`]);
+//! 7. **SAX exactness** (§3.1–3.2): the model's records — produced by the
+//!    certified O(P) kernel — are exactly those of the two-pass reference
+//!    (`SaxConfig::word` per window, then numerosity reduction;
+//!    [`check_sax_records`], run by `invariant_fuzz` on every valid
+//!    series).
 //!
 //! The checkers are callable piecemeal on any [`GrammarModel`] /
 //! [`RraReport`], or wholesale through [`check_series`], which runs the
-//! full pipeline and every check and returns a [`CheckReport`]. The
+//! full pipeline and checks 1–5 and returns a [`CheckReport`]. The
 //! `invariant_fuzz` binary drives randomized and adversarial series
 //! through all of it with a vendored, seeded PRNG; `gv check` exposes the
 //! same report on a user series.
@@ -100,6 +105,54 @@ impl CheckReport {
         }
         out
     }
+}
+
+/// Check 7 — SAX exactness (§3.1–3.2): the model's records equal a
+/// reference loop that discretizes every window with the two-pass
+/// [`SaxConfig::word`](gv_sax::SaxConfig::word) and applies the
+/// configured numerosity reduction. The batch kernel falls back to that
+/// path only on windows it cannot certify, so any disagreement is a hole
+/// in its error bound.
+pub fn check_sax_records(
+    model: &GrammarModel,
+    values: &[f64],
+    config: &PipelineConfig,
+) -> CheckResult {
+    let mut result = CheckResult::pass("SAX records equal the two-pass reference");
+    let (sax, nr, window) = (config.sax(), config.numerosity_reduction(), config.window());
+    let mut expected: Vec<gv_sax::SaxRecord> = Vec::new();
+    for offset in 0..values.len().saturating_sub(window - 1) {
+        let word = match sax.word(&values[offset..offset + window]) {
+            Ok(word) => word,
+            Err(e) => {
+                result
+                    .violations
+                    .push(format!("reference refused window {offset}: {e}"));
+                return result;
+            }
+        };
+        match expected.last() {
+            Some(last) if nr.drops(last.word.symbols(), word.symbols()) => {}
+            _ => expected.push(gv_sax::SaxRecord { word, offset }),
+        }
+    }
+    if let Some(i) = (0..expected.len().max(model.records.len()))
+        .find(|&i| expected.get(i) != model.records.get(i))
+    {
+        let show = |r: Option<&gv_sax::SaxRecord>| {
+            r.map_or("nothing".to_string(), |r| {
+                format!("{} at {}", r.word, r.offset)
+            })
+        };
+        result.violations.push(format!(
+            "record {i}: kernel emitted {}, reference {} ({} vs {} records)",
+            show(model.records.get(i)),
+            show(expected.get(i)),
+            model.records.len(),
+            expected.len()
+        ));
+    }
+    result
 }
 
 /// Check 1 — the Sequitur invariants (§3) on the final grammar: digram

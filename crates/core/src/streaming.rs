@@ -38,10 +38,7 @@
 use std::collections::VecDeque;
 
 use gv_obs::{time_stage, Counter, Event, EventKind, NoopRecorder, PipelineTrace, Recorder, Stage};
-use gv_sax::{
-    symbols_mindist_is_zero, IncrementalDiscretizer, NumerosityReduction, SaxDictionary, SaxRecord,
-    SaxWord,
-};
+use gv_sax::{IncrementalDiscretizer, SaxDictionary, SaxRecord, SaxWord};
 use gv_sequitur::{GrammarEvent, Sequitur};
 use gv_timeseries::{CoverageCounter, Interval};
 
@@ -124,7 +121,8 @@ pub struct StreamingDetector<R: Recorder = NoopRecorder> {
     /// `horizon` points (never less than one window).
     horizon: usize,
     /// Streaming SAX: emits the word for the window ending at each point
-    /// with no per-push allocation, bit-identical to the batch kernels.
+    /// through the batch path's certified O(P) kernel, with no per-push
+    /// allocation and bit-identical words.
     discretizer: IncrementalDiscretizer,
     /// The retained raw values (the whole stream when unbounded).
     values: SlidingBuf<f64>,
@@ -180,7 +178,7 @@ impl StreamingDetector<NoopRecorder> {
 impl<R: Recorder> StreamingDetector<R> {
     /// A detector that publishes per-push counters
     /// ([`Counter::WindowsProcessed`], [`Counter::WordsEmitted`],
-    /// [`Counter::WordsDropped`]) and [`Stage::Density`] timings to
+    /// [`Counter::WordsDropped`], [`Counter::SaxFallbacks`]) and [`Stage::Density`] timings to
     /// `recorder`. [`new`](StreamingDetector::new) is this with a
     /// [`NoopRecorder`].
     pub fn with_recorder(config: PipelineConfig, recorder: R) -> Self {
@@ -344,21 +342,16 @@ impl<R: Recorder> StreamingDetector<R> {
         }
         self.seen += 1;
         // Discretize into the reused scratch word — no per-push buffer.
+        let fallbacks = self.discretizer.fallbacks();
         let mut emitted = false;
         let mut keep = false;
         if let Some(symbols) = self.discretizer.push(value) {
             emitted = true;
-            keep = if !self.have_last {
-                true
-            } else {
-                match self.config.numerosity_reduction() {
-                    NumerosityReduction::None => true,
-                    NumerosityReduction::Exact => self.last_word != symbols,
-                    NumerosityReduction::MinDist => {
-                        !symbols_mindist_is_zero(&self.last_word, symbols)
-                    }
-                }
-            };
+            keep = !self.have_last
+                || !self
+                    .config
+                    .numerosity_reduction()
+                    .drops(&self.last_word, symbols);
             if keep {
                 self.last_word.clear();
                 self.last_word.extend_from_slice(symbols);
@@ -367,6 +360,9 @@ impl<R: Recorder> StreamingDetector<R> {
         }
         if emitted {
             self.recorder.incr(Counter::WindowsProcessed);
+        }
+        if self.discretizer.fallbacks() != fallbacks {
+            self.recorder.incr(Counter::SaxFallbacks);
         }
         if keep {
             let mut storage = match self.word_pool.pop() {
@@ -1153,6 +1149,47 @@ mod tests {
         // The grammar really did evict: far more tokens retired than
         // retained.
         assert!(det.sequitur.tokens_evicted() > det.num_tokens() as u64 * 10);
+    }
+
+    #[test]
+    fn sax_fallbacks_keep_the_push_path_allocation_free() {
+        // Flat stretches put every bucket exactly on α=4's 0.0 cut, so the
+        // SAX kernel takes its two-pass fallback there; that path must be
+        // as allocation-free as the O(P) one (the discretizer's buffers,
+        // the kept-word pool and the last-word scratch stay frozen), and
+        // every fallback is published to the recorder.
+        let config = PipelineConfig::new(40, 4, 4).unwrap();
+        let mut det = StreamingDetector::with_recorder(config, gv_obs::LocalRecorder::new())
+            .with_horizon(1024);
+        let signal = |i: usize| {
+            if (i / 700).is_multiple_of(5) {
+                0.0
+            } else {
+                (i as f64 / 9.0).sin() + 0.3 * (i as f64 / 53.0).cos()
+            }
+        };
+        let sax_sig = |det: &StreamingDetector<gv_obs::LocalRecorder>| {
+            let mut sig = det.discretizer.capacity_signature();
+            sig.extend([det.word_pool.capacity(), det.last_word.capacity()]);
+            sig
+        };
+        let warmup = 20_000usize;
+        for i in 0..warmup {
+            det.push(signal(i)).unwrap();
+        }
+        let sig = sax_sig(&det);
+        let before = det.recorder().counter(Counter::SaxFallbacks);
+        for i in warmup..60_000 {
+            det.push(signal(i)).unwrap();
+        }
+        assert_eq!(
+            sig,
+            sax_sig(&det),
+            "SAX push-path buffers grew after warmup"
+        );
+        let fallbacks = det.recorder().counter(Counter::SaxFallbacks);
+        assert!(fallbacks > before, "flat stretches must take the fallback");
+        assert_eq!(fallbacks, det.discretizer.fallbacks());
     }
 
     #[test]

@@ -201,4 +201,28 @@ mod tests {
             assert_eq!(sig, ws.capacity_signature(), "workspace buffers grew");
         }
     }
+
+    #[test]
+    fn warm_discretize_scratch_is_o_p_and_frozen_through_fallbacks() {
+        // The SAX kernel's whole state is the W-point z-norm scratch and
+        // 2P floats of PAA scratch + bucket sums; warm model builds —
+        // including windows that take the two-pass fallback (the flat
+        // stretch sits exactly on α=4's 0.0 cut) — leave every workspace
+        // buffer as it was, so the kept words are the only allocations of
+        // the discretize stage.
+        let config = PipelineConfig::new(80, 4, 4).unwrap();
+        let mut v = series();
+        v[100..400].fill(0.0);
+        let mut ws = Workspace::new();
+        let m = ws.build_model(&config, &v, &NoopRecorder).unwrap();
+        ws.recycle_model(m);
+        assert_eq!((ws.zbuf.capacity(), ws.pbuf.capacity()), (80, 8));
+        let sig = ws.capacity_signature();
+        let rec = gv_obs::LocalRecorder::new();
+        let m = ws.build_model(&config, &v, &rec).unwrap();
+        assert!(rec.counter(Counter::SaxFallbacks) > 0);
+        assert_eq!(m.records.len() as u64, rec.counter(Counter::WordsEmitted));
+        ws.recycle_model(m);
+        assert_eq!(sig, ws.capacity_signature(), "workspace buffers grew");
+    }
 }

@@ -115,11 +115,15 @@ pub enum Counter {
     /// Full density-curve recounts forced by position-less grammar churn
     /// (the incremental ±1 delta path couldn't absorb the event).
     DensityRecounts,
+    /// Sliding windows the certified SAX kernel could not decide and
+    /// recomputed with the two-pass z-norm → PAA path (a bucket mean or σ
+    /// sat within the kernel's rounding-error bound of a cut).
+    SaxFallbacks,
 }
 
 impl Counter {
     /// Number of counters (array dimension for recorders).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 16;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -138,6 +142,7 @@ impl Counter {
         Counter::RulesEvicted,
         Counter::RulesRelearned,
         Counter::DensityRecounts,
+        Counter::SaxFallbacks,
     ];
 
     /// Dense index (0-based).
@@ -164,6 +169,7 @@ impl Counter {
             Counter::RulesEvicted => "rules_evicted",
             Counter::RulesRelearned => "rules_relearned",
             Counter::DensityRecounts => "density_recounts",
+            Counter::SaxFallbacks => "sax_fallbacks",
         }
     }
 

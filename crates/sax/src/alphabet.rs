@@ -164,6 +164,23 @@ impl Alphabet {
         s
     }
 
+    /// [`Alphabet::symbol`] plus the distance from `value` to the nearest
+    /// breakpoint bounding its region (`+∞` for a one-sided region with no
+    /// cut on that side). A NaN `value` yields a NaN margin.
+    pub(crate) fn symbol_with_margin(&self, value: f64) -> (u8, f64) {
+        let s = self.symbol(value);
+        let below = match (s as usize).checked_sub(1) {
+            Some(i) => value - self.breakpoints[i],
+            None => f64::INFINITY,
+        };
+        let above = self
+            .breakpoints
+            .get(s as usize)
+            .map_or(f64::INFINITY, |&b| b - value);
+        // Not `f64::min`: that would swallow a NaN `above`.
+        (s, if below < above { below } else { above })
+    }
+
     /// The letter (`'a'` + index) for a symbol index.
     ///
     /// # Panics

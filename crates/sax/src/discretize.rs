@@ -2,13 +2,18 @@
 //! (paper §3.1–3.2).
 
 use gv_obs::{time_stage, Counter, NoopRecorder, Recorder, Stage};
-use gv_timeseries::{znorm_into, SlidingWindows, DEFAULT_ZNORM_THRESHOLD};
+use gv_timeseries::{znorm_into, DEFAULT_ZNORM_THRESHOLD};
 
 use crate::alphabet::Alphabet;
 use crate::error::{Error, Result};
-use crate::mindist::mindist_is_zero;
+use crate::kernel::SaxKernel;
+use crate::mindist::symbols_mindist_is_zero;
 use crate::paa::paa_into;
 use crate::word::SaxWord;
+
+/// Words up to this length are assembled in a stack buffer by the batch
+/// discretizer; longer ones use one heap scratch per call.
+const STACK_WORD: usize = 64;
 
 /// Numerosity-reduction strategy applied to the stream of sliding-window
 /// SAX words (paper §3.2).
@@ -30,13 +35,13 @@ pub enum NumerosityReduction {
 }
 
 impl NumerosityReduction {
-    /// `true` when `current` should be dropped given the previously kept
-    /// word.
-    fn drops(&self, prev: &SaxWord, current: &SaxWord) -> bool {
+    /// `true` when the word with symbols `current` should be dropped given
+    /// the previously kept word's symbols `prev`.
+    pub fn drops(&self, prev: &[u8], current: &[u8]) -> bool {
         match self {
             NumerosityReduction::None => false,
             NumerosityReduction::Exact => prev == current,
-            NumerosityReduction::MinDist => mindist_is_zero(prev, current),
+            NumerosityReduction::MinDist => symbols_mindist_is_zero(prev, current),
         }
     }
 }
@@ -178,10 +183,14 @@ impl SaxConfig {
     }
 
     /// [`SaxConfig::discretize_with`] writing into caller-owned buffers:
-    /// `records` is cleared and refilled, `zbuf`/`pbuf` are the z-norm/PAA
-    /// scratch. Repeated calls through the same buffers (e.g. a detection
-    /// workspace) allocate nothing once warm — only the `SaxWord`s
-    /// themselves are fresh, since they are owned by the records.
+    /// `records` is cleared and refilled, `zbuf`/`pbuf` are the kernel's
+    /// scratch (resized to `W` and `2P`). Every window goes through the
+    /// certified O(P) kernel (see `kernel.rs`), which emits the two-pass
+    /// reference word bit for bit and recomputes the rare undecidable
+    /// window with that reference path ([`Counter::SaxFallbacks`]).
+    /// Numerosity reduction compares symbols in scratch, so once the
+    /// buffers are warm the only allocations are the kept words
+    /// themselves, owned by the records.
     ///
     /// # Errors
     /// Same as [`SaxConfig::discretize`].
@@ -205,22 +214,35 @@ impl SaxConfig {
             });
         }
         time_stage(recorder, Stage::Discretize, || {
-            let mut windows_processed = 0u64;
+            let (w, p) = (self.window, self.paa_size);
+            zbuf.resize(w, 0.0);
+            pbuf.resize(2 * p, 0.0);
+            let mut stack = [0u8; STACK_WORD];
+            let mut heap = Vec::new();
+            let word: &mut [u8] = if p <= STACK_WORD {
+                &mut stack[..p]
+            } else {
+                heap.resize(p, 0);
+                &mut heap
+            };
+            let mut kernel = SaxKernel::default();
+            let windows = values.len() - w + 1;
+            let mut fallbacks = 0u64;
             let mut words_dropped = 0u64;
-            zbuf.resize(self.window, 0.0);
-            pbuf.resize(self.paa_size, 0.0);
-            let windows = SlidingWindows::new(values, self.window)
-                // gv-lint: allow(no-unwrap-in-lib) the same window/len pair was validated at function entry
-                .expect("window validated above");
-            for (offset, win) in windows {
-                windows_processed += 1;
-                let word = self.word_for(win, zbuf, pbuf);
+            for offset in 0..windows {
+                let retired = offset.checked_sub(1).map(|i| values[i]);
+                let win = &values[offset..offset + w];
+                fallbacks += u64::from(kernel.window_word(self, retired, win, zbuf, pbuf, word));
                 match records.last() {
-                    Some(last) if nr.drops(&last.word, &word) => words_dropped += 1,
-                    _ => records.push(SaxRecord { word, offset }),
+                    Some(last) if nr.drops(last.word.symbols(), word) => words_dropped += 1,
+                    _ => records.push(SaxRecord {
+                        word: SaxWord::new(&*word),
+                        offset,
+                    }),
                 }
             }
-            recorder.add(Counter::WindowsProcessed, windows_processed);
+            recorder.add(Counter::WindowsProcessed, windows as u64);
+            recorder.add(Counter::SaxFallbacks, fallbacks);
             recorder.add(Counter::WordsEmitted, records.len() as u64);
             recorder.add(Counter::WordsDropped, words_dropped);
             Ok(())

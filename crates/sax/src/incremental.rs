@@ -1,42 +1,25 @@
 //! Incremental sliding-window discretization for streaming (paper §7).
 //!
-//! The batch path ([`SaxConfig::discretize`]) re-extracts and re-normalizes
-//! every window from a slice it already holds. A streaming caller has
-//! neither the slice nor the time: it sees one point per push and must not
-//! allocate. [`IncrementalDiscretizer`] keeps the window in a fixed ring,
-//! maintains rolling sum / sum-of-squares for O(1) window statistics, and
-//! emits the SAX word for the window *ending* at each pushed point into a
-//! reused scratch buffer.
+//! The batch path ([`SaxConfig::discretize`]) walks a slice it already
+//! holds. A streaming caller has neither the slice nor the time: it sees
+//! one point per push and must not allocate. [`IncrementalDiscretizer`]
+//! keeps the last `W` points and runs the same certified O(P) kernel as
+//! the batch path on the window *ending* at each pushed point, so every
+//! emitted word is **bit-identical** to [`SaxConfig::word`] on that window
+//! — the incremental-vs-batch differential downstream compares density
+//! curves and discord scores to the bit, which only holds if the token
+//! streams agree to the bit.
 //!
-//! Two emission modes, one struct:
-//!
-//! * **strict** ([`IncrementalDiscretizer::new`]) — recomputes the word
-//!   over the ring with the exact batch kernels ([`znorm_into`] →
-//!   [`paa_into`] → symbols), in window order, so the output is
-//!   **bit-identical** to [`SaxConfig::word`] on the same window. O(W) per
-//!   push, zero allocation. This is what the streaming detector uses: the
-//!   incremental-vs-batch differential downstream compares density curves
-//!   and discord scores to the bit, which only holds if the token streams
-//!   agree to the bit.
-//! * **fast** ([`IncrementalDiscretizer::fast`]) — derives each PAA bucket
-//!   mean from incrementally-maintained raw bucket sums and z-normalizes
-//!   it by linearity (`(bucket_mean − μ)·σ⁻¹`), O(P) per push when
-//!   `W % P == 0` (otherwise it falls back to strict). Floating-point
-//!   reassociation means the *values* are not bit-identical to batch —
-//!   the *symbols* agree whenever bucket means sit more than the rounding
-//!   drift away from an alphabet cut, which is everywhere except adversarial
-//!   knife-edge inputs. Rolling state is exactly rebuilt from the ring every
-//!   `W` slides so the drift stays bounded on unbounded streams.
-//!
-//! Both modes maintain the rolling statistics, so
-//! [`window_stats`](IncrementalDiscretizer::window_stats) is O(1) either
-//! way.
+//! Each point is stored twice, at `i` and `i + W` of a `2W` buffer, so the
+//! current window is always one contiguous slice: the kernel's rolling
+//! update and its rare two-pass fallback read it in window order with no
+//! per-push copy. Per push the cost is O(P), plus an exact O(W) rebuild
+//! every `W` pushes and an O(W) fallback on knife-edge windows
+//! ([`fallbacks`](IncrementalDiscretizer::fallbacks)). Every buffer is
+//! sized at construction; pushing never allocates.
 
-use gv_timeseries::znorm_into;
-
-use crate::alphabet::Alphabet;
 use crate::discretize::SaxConfig;
-use crate::paa::paa_into;
+use crate::kernel::SaxKernel;
 
 /// Streaming SAX discretizer over a fixed-length sliding window.
 ///
@@ -58,29 +41,19 @@ use crate::paa::paa_into;
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalDiscretizer {
-    window: usize,
-    paa: usize,
-    /// `window / paa` when divisible (the O(P) bucket path), else 0.
-    seg: usize,
-    alphabet: Alphabet,
-    threshold: f64,
-    strict: bool,
-    /// The last `window` points. Before warmup completes this holds the
-    /// stream prefix in order; afterwards `head` indexes the oldest point.
-    ring: Vec<f64>,
+    config: SaxConfig,
+    /// The last `W` points, each stored at `i` and `i + W`: the window is
+    /// `buf[head..head + W]` once warm. During warmup `filled < W` points
+    /// sit at `0..filled`.
+    buf: Vec<f64>,
     head: usize,
+    filled: usize,
     /// Total points consumed.
     seen: u64,
-    /// Slides since the last exact rebase (never exceeds `window`).
-    slides: usize,
-    /// Rolling window statistics (Σv, Σv²), exactly rebuilt every `window`
-    /// slides to bound floating-point drift.
-    sum: f64,
-    sum_sq: f64,
-    /// Raw-value sums per PAA bucket (fast mode, divisible configs only).
-    buckets: Vec<f64>,
-    /// Scratch: window linearized in order / z-normalized / PAA means.
-    lin: Vec<f64>,
+    /// Windows that took the kernel's two-pass fallback.
+    fallbacks: u64,
+    kernel: SaxKernel,
+    /// Kernel scratch: z-normalized window / PAA means and bucket sums.
     zbuf: Vec<f64>,
     pbuf: Vec<f64>,
     /// The emitted word, reused across pushes.
@@ -88,57 +61,32 @@ pub struct IncrementalDiscretizer {
 }
 
 impl IncrementalDiscretizer {
-    /// A strict-mode discretizer: every emitted word is bit-identical to
+    /// A discretizer whose every emitted word is bit-identical to
     /// [`SaxConfig::word`] over the same window.
     pub fn new(config: &SaxConfig) -> Self {
-        Self::build(config, true)
-    }
-
-    /// A fast-mode discretizer: O(P)-per-push emission from incremental
-    /// PAA bucket sums (symbols may differ from batch on knife-edge
-    /// inputs; see the module docs). Falls back to strict recomputation
-    /// when `window % paa_size != 0`.
-    pub fn fast(config: &SaxConfig) -> Self {
-        Self::build(config, false)
-    }
-
-    fn build(config: &SaxConfig, strict: bool) -> Self {
-        let window = config.window();
-        let paa = config.paa_size();
-        let seg = if window.is_multiple_of(paa) {
-            window / paa
-        } else {
-            0
-        };
+        let (window, paa) = (config.window(), config.paa_size());
         Self {
-            window,
-            paa,
-            seg,
-            alphabet: config.alphabet().clone(),
-            threshold: config.znorm_threshold(),
-            strict,
-            ring: Vec::with_capacity(window),
+            config: config.clone(),
+            buf: vec![0.0; 2 * window],
             head: 0,
+            filled: 0,
             seen: 0,
-            slides: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            buckets: vec![0.0; paa],
-            lin: vec![0.0; window],
+            fallbacks: 0,
+            kernel: SaxKernel::default(),
             zbuf: vec![0.0; window],
-            pbuf: vec![0.0; paa],
+            pbuf: vec![0.0; 2 * paa],
             symbols: vec![0; paa],
         }
     }
 
     /// Sliding-window length `W`.
     pub fn window(&self) -> usize {
-        self.window
+        self.config.window()
     }
 
     /// Word length `P`.
     pub fn paa_size(&self) -> usize {
-        self.paa
+        self.config.paa_size()
     }
 
     /// Total points consumed so far.
@@ -146,46 +94,34 @@ impl IncrementalDiscretizer {
         self.seen
     }
 
-    /// `true` once a full window has arrived (every later push emits).
-    pub fn is_warm(&self) -> bool {
-        self.ring.len() == self.window
+    /// Windows so far whose word the kernel could not certify and
+    /// recomputed with the two-pass path (see
+    /// [`Counter::SaxFallbacks`](gv_obs::Counter::SaxFallbacks)).
+    pub fn fallbacks(&self) -> u64 {
+        self.fallbacks
     }
 
-    /// Rolling window mean and standard deviation, O(1). `None` until the
-    /// first window fills. The values track
-    /// [`mean_std`](gv_timeseries::mean_std) up to bounded rounding drift
-    /// (reset to exact every `W` slides by the rebase).
-    pub fn window_stats(&self) -> Option<(f64, f64)> {
-        if !self.is_warm() {
-            return None;
-        }
-        let n = self.window as f64;
-        let m = self.sum / n;
-        let var = (self.sum_sq / n - m * m).max(0.0);
-        Some((m, var.sqrt()))
+    /// `true` once a full window has arrived (every later push emits).
+    pub fn is_warm(&self) -> bool {
+        self.filled == self.window()
     }
 
     /// Forgets all stream state (capacity is retained — no reallocation).
     pub fn reset(&mut self) {
-        self.ring.clear();
         self.head = 0;
+        self.filled = 0;
         self.seen = 0;
-        self.slides = 0;
-        self.sum = 0.0;
-        self.sum_sq = 0.0;
-        self.buckets.fill(0.0);
+        self.fallbacks = 0;
     }
 
     /// Capacities of every internal buffer — all fixed at construction, so
     /// long-run memory tests can assert this never changes after warmup.
     pub fn capacity_signature(&self) -> Vec<usize> {
         vec![
-            self.ring.capacity(),
-            self.lin.capacity(),
+            self.buf.capacity(),
             self.zbuf.capacity(),
             self.pbuf.capacity(),
             self.symbols.capacity(),
-            self.buckets.capacity(),
         ]
     }
 
@@ -196,119 +132,34 @@ impl IncrementalDiscretizer {
     // gv-lint: hot
     pub fn push(&mut self, value: f64) -> Option<&[u8]> {
         self.seen += 1;
-        if self.ring.len() < self.window {
-            // Warmup: fill the ring in stream order (head stays 0).
-            self.sum += value;
-            self.sum_sq += value * value;
-            if self.use_buckets() {
-                self.buckets[self.ring.len() / self.seg] += value;
-            }
-            self.ring.push(value);
-            if self.ring.len() < self.window {
+        let w = self.window();
+        let retired = if self.filled < w {
+            self.buf[self.filled] = value;
+            self.buf[self.filled + w] = value;
+            self.filled += 1;
+            if self.filled < w {
                 return None;
             }
-            return Some(self.emit());
-        }
-        // Slide: retire the oldest point, admit the new one.
-        let old = self.ring[self.head];
-        self.sum = self.sum - old + value;
-        self.sum_sq = self.sum_sq - old * old + value * value;
-        if self.use_buckets() {
-            // Each bucket boundary shifts left by one: bucket b loses its
-            // first point p[b·seg] and gains the next boundary p[(b+1)·seg]
-            // (the last bucket gains the new value). Boundary indexes never
-            // collide with `head` except p[0] = the retiree itself, so the
-            // reads happen before the overwrite below.
-            let mut prev_boundary = old;
-            for b in 0..self.paa {
-                let next_boundary = if b + 1 == self.paa {
-                    value
-                } else {
-                    self.ring[(self.head + (b + 1) * self.seg) % self.window]
-                };
-                self.buckets[b] += next_boundary - prev_boundary;
-                prev_boundary = next_boundary;
-            }
-        }
-        self.ring[self.head] = value;
-        self.head = (self.head + 1) % self.window;
-        self.slides += 1;
-        if self.slides >= self.window {
-            self.rebase();
-        }
-        Some(self.emit())
-    }
-
-    fn use_buckets(&self) -> bool {
-        !self.strict && self.seg > 0
-    }
-
-    /// Rebuilds the rolling state exactly from the ring, in window order —
-    /// the same operation sequence as a fresh pass, so accumulated
-    /// add/subtract rounding is discarded. Amortized O(1): runs once per
-    /// `window` slides.
-    fn rebase(&mut self) {
-        self.slides = 0;
-        self.sum = 0.0;
-        self.sum_sq = 0.0;
-        let track_buckets = self.use_buckets();
-        if track_buckets {
-            self.buckets.fill(0.0);
-        }
-        for k in 0..self.window {
-            let v = self.ring[(self.head + k) % self.window];
-            self.sum += v;
-            self.sum_sq += v * v;
-            if track_buckets {
-                self.buckets[k / self.seg] += v;
-            }
-        }
-    }
-
-    fn emit(&mut self) -> &[u8] {
-        if self.use_buckets() {
-            self.emit_fast()
+            None
         } else {
-            self.emit_strict()
+            let old = self.buf[self.head];
+            self.buf[self.head] = value;
+            self.buf[self.head + w] = value;
+            self.head = if self.head + 1 == w { 0 } else { self.head + 1 };
+            Some(old)
+        };
+        let win = &self.buf[self.head..self.head + w];
+        if self.kernel.window_word(
+            &self.config,
+            retired,
+            win,
+            &mut self.zbuf,
+            &mut self.pbuf,
+            &mut self.symbols,
+        ) {
+            self.fallbacks += 1;
         }
-    }
-
-    /// Exact batch-kernel recomputation over the linearized ring:
-    /// bit-identical to [`SaxConfig::word`], allocation-free.
-    fn emit_strict(&mut self) -> &[u8] {
-        for k in 0..self.window {
-            self.lin[k] = self.ring[(self.head + k) % self.window];
-        }
-        znorm_into(&self.lin, self.threshold, &mut self.zbuf);
-        paa_into(&self.zbuf, &mut self.pbuf);
-        for (s, &p) in self.symbols.iter_mut().zip(self.pbuf.iter()) {
-            *s = self.alphabet.symbol(p);
-        }
-        &self.symbols
-    }
-
-    /// O(P) emission from the rolling bucket sums: z-normalize each bucket
-    /// mean by linearity instead of normalizing every point.
-    fn emit_fast(&mut self) -> &[u8] {
-        let n = self.window as f64;
-        let m = self.sum / n;
-        let var = (self.sum_sq / n - m * m).max(0.0);
-        let sd = var.sqrt();
-        let seg = self.seg as f64;
-        if sd < self.threshold {
-            // Flat window: the batch path pins z to 0 per point, so every
-            // bucket mean is 0 too.
-            for (s, &b) in self.symbols.iter_mut().zip(self.buckets.iter()) {
-                let _ = b;
-                *s = self.alphabet.symbol(0.0);
-            }
-        } else {
-            let inv = 1.0 / sd;
-            for (s, &b) in self.symbols.iter_mut().zip(self.buckets.iter()) {
-                *s = self.alphabet.symbol((b / seg - m) * inv);
-            }
-        }
-        &self.symbols
+        Some(&self.symbols)
     }
     // gv-lint: end-hot
 }
@@ -316,7 +167,6 @@ impl IncrementalDiscretizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gv_timeseries::mean_std;
 
     /// Deterministic pseudo-random walk (no RNG dependency).
     fn lcg_walk(n: usize) -> Vec<f64> {
@@ -334,7 +184,7 @@ mod tests {
         out
     }
 
-    fn assert_strict_matches_batch(values: &[f64], w: usize, p: usize, a: usize) {
+    fn assert_matches_batch(values: &[f64], w: usize, p: usize, a: usize) {
         let cfg = SaxConfig::new(w, p, a).unwrap();
         let mut inc = IncrementalDiscretizer::new(&cfg);
         for (i, &v) in values.iter().enumerate() {
@@ -354,35 +204,35 @@ mod tests {
     }
 
     #[test]
-    fn strict_is_bit_identical_to_batch_divisible() {
+    fn words_are_bit_identical_to_batch_divisible() {
         let values: Vec<f64> = (0..600).map(|i| (i as f64 / 17.0).sin()).collect();
-        assert_strict_matches_batch(&values, 60, 4, 4);
-        assert_strict_matches_batch(&values, 16, 4, 6);
+        assert_matches_batch(&values, 60, 4, 4);
+        assert_matches_batch(&values, 16, 4, 6);
     }
 
     #[test]
-    fn strict_is_bit_identical_to_batch_non_divisible() {
+    fn words_are_bit_identical_to_batch_non_divisible() {
         let values: Vec<f64> = (0..400)
             .map(|i| (i as f64 / 9.0).cos() * 3.0 + 1.0)
             .collect();
-        assert_strict_matches_batch(&values, 10, 3, 5);
-        assert_strict_matches_batch(&values, 23, 7, 4);
+        assert_matches_batch(&values, 10, 3, 5);
+        assert_matches_batch(&values, 23, 7, 4);
     }
 
     #[test]
-    fn strict_is_bit_identical_on_random_walk() {
+    fn words_are_bit_identical_on_random_walk() {
         let values = lcg_walk(800);
-        assert_strict_matches_batch(&values, 50, 5, 8);
-        assert_strict_matches_batch(&values, 31, 4, 3);
+        assert_matches_batch(&values, 50, 5, 8);
+        assert_matches_batch(&values, 31, 4, 3);
     }
 
     #[test]
-    fn strict_handles_flat_and_tiny_windows() {
+    fn flat_and_tiny_windows_match_batch() {
         let flat = vec![2.5; 40];
-        assert_strict_matches_batch(&flat, 8, 4, 4);
+        assert_matches_batch(&flat, 8, 4, 4);
         let values: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        assert_strict_matches_batch(&values, 1, 1, 4);
-        assert_strict_matches_batch(&values, 2, 1, 4);
+        assert_matches_batch(&values, 1, 1, 4);
+        assert_matches_batch(&values, 2, 1, 4);
     }
 
     #[test]
@@ -390,7 +240,6 @@ mod tests {
         let cfg = SaxConfig::new(12, 3, 4).unwrap();
         let mut inc = IncrementalDiscretizer::new(&cfg);
         assert!(!inc.is_warm());
-        assert_eq!(inc.window_stats(), None);
         for i in 0..11 {
             assert!(inc.push(i as f64).is_none());
         }
@@ -402,57 +251,46 @@ mod tests {
     }
 
     #[test]
-    fn fast_agrees_with_strict_on_smooth_data() {
-        // Fast-mode symbols match strict/batch wherever bucket means sit a
-        // healthy margin from the alphabet cuts — true of smooth periodic
-        // data like this (and of anything that isn't a knife-edge input).
-        let values: Vec<f64> = (0..500).map(|i| (i as f64 / 13.0).sin() * 2.0).collect();
-        let cfg = SaxConfig::new(40, 4, 4).unwrap();
-        let mut strict = IncrementalDiscretizer::new(&cfg);
-        let mut fast = IncrementalDiscretizer::fast(&cfg);
-        for &v in &values {
-            let a = strict.push(v).map(<[u8]>::to_vec);
-            let b = fast.push(v).map(<[u8]>::to_vec);
-            assert_eq!(a, b);
-        }
+    fn words_match_batch_at_a_large_offset() {
+        // Regression: the unshifted rolling Σv/Σv² form this stream once
+        // offered disagreed with the reference on 1,364 of 1,881 words of
+        // this sine at a 1e8 baseline.
+        let values: Vec<f64> = (0..2000).map(|i| 1e8 + (i as f64 / 10.0).sin()).collect();
+        assert_matches_batch(&values, 120, 4, 4);
+        let shifted: Vec<f64> = values.iter().map(|v| v - 1.5e8).collect();
+        assert_matches_batch(&shifted, 150, 4, 4);
     }
 
     #[test]
-    fn fast_non_divisible_falls_back_to_strict() {
-        let values = lcg_walk(300);
-        let cfg = SaxConfig::new(10, 3, 5).unwrap();
-        let mut strict = IncrementalDiscretizer::new(&cfg);
-        let mut fast = IncrementalDiscretizer::fast(&cfg);
+    fn knife_edge_pushes_fall_back_and_match() {
+        // Integer-valued and symmetric: every other window's bucket means
+        // land exactly on α=4's 0.0 cut.
+        let values: Vec<f64> = (0..200).map(|i| [1.0, -1.0, -1.0, 1.0][i % 4]).collect();
+        assert_matches_batch(&values, 8, 4, 4);
+        let cfg = SaxConfig::new(8, 4, 4).unwrap();
+        let mut inc = IncrementalDiscretizer::new(&cfg);
         for &v in &values {
-            let a = strict.push(v).map(<[u8]>::to_vec);
-            let b = fast.push(v).map(<[u8]>::to_vec);
-            assert_eq!(a, b, "non-divisible fast mode must be exactly strict");
-        }
-    }
-
-    #[test]
-    fn rolling_stats_track_exact_stats_through_rebase() {
-        let values = lcg_walk(5_000);
-        let cfg = SaxConfig::new(64, 8, 4).unwrap();
-        let mut inc = IncrementalDiscretizer::fast(&cfg);
-        for (i, &v) in values.iter().enumerate() {
             inc.push(v);
-            if let Some((m, sd)) = inc.window_stats() {
-                let (em, esd) = mean_std(&values[i + 1 - 64..=i]);
-                assert!((m - em).abs() < 1e-9, "mean drift at {i}: {m} vs {em}");
-                assert!((sd - esd).abs() < 1e-9, "std drift at {i}: {sd} vs {esd}");
-            }
         }
+        assert!(inc.fallbacks() > 0);
+        assert!(inc.fallbacks() <= (values.len() - 8 + 1) as u64);
     }
 
     #[test]
     fn capacity_signature_freezes_after_construction() {
+        // The hot-path contract: all state is sized up front — a 2W ring,
+        // W of z-norm scratch, 2P of PAA scratch plus bucket sums, and the
+        // P-symbol word — and neither the O(P) path nor the two-pass
+        // fallback (forced here by flat stretches) ever grows it.
         let cfg = SaxConfig::new(32, 4, 4).unwrap();
         let mut inc = IncrementalDiscretizer::new(&cfg);
         let sig = inc.capacity_signature();
-        for i in 0..10_000 {
-            inc.push((i as f64 / 7.0).sin());
+        assert_eq!(sig, vec![64, 32, 8, 4]);
+        for i in 0..10_000usize {
+            let flat = (i / 500).is_multiple_of(4);
+            inc.push(if flat { 0.0 } else { (i as f64 / 7.0).sin() });
         }
+        assert!(inc.fallbacks() > 0);
         assert_eq!(sig, inc.capacity_signature());
     }
 

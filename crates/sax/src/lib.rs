@@ -14,7 +14,12 @@
 //! * [`SaxWord`] encoding plus the lower-bounding **MINDIST** between words;
 //! * a **sliding-window discretizer** ([`SaxConfig::discretize`]) producing
 //!   `(word, offset)` records, with the paper's *numerosity reduction*
-//!   strategies ([`NumerosityReduction`]);
+//!   strategies ([`NumerosityReduction`]), and its streaming twin
+//!   ([`IncrementalDiscretizer`]). Both run one certified O(P)-per-window
+//!   kernel that rolls shifted window and PAA-bucket sums, bounds its own
+//!   rounding error, and recomputes the rare undecidable window with the
+//!   two-pass reference path — so the words are the reference words, bit
+//!   for bit;
 //! * a [`SaxDictionary`] interning words into dense `u32` tokens for the
 //!   grammar-induction stage.
 //!
@@ -36,6 +41,7 @@ mod dictionary;
 mod discretize;
 mod error;
 mod incremental;
+mod kernel;
 mod mindist;
 mod paa;
 mod word;
