@@ -18,6 +18,12 @@
 //! *all* outcome events must equal [`SearchStats::distance_calls`], which
 //! [`ExplainReport::distance_calls_from_events`] exposes so tests can
 //! assert the books balance.
+//!
+//! A later rank resumes each candidate's inner scan where an earlier rank
+//! left it (see the `rra` module docs), so a resumed visit's outcome event
+//! carries only the calls that visit made — possibly 0, when the carried
+//! state already decides it. For a `Pruned` event, `value` is the carried
+//! running `nearest` that fell below the bound, not a fresh minimum.
 
 use std::fmt::Write as _;
 

@@ -30,6 +30,33 @@
 //! toward the earliest candidate in the outer order — exactly the
 //! sequential first-wins rule. Only the *cost* (distance calls, prune
 //! counts) varies with thread count and timing.
+//!
+//! ## Resumed scans across ranks
+//!
+//! Rank `r` reruns the outer loop with the discords found so far excluded,
+//! but a candidate's inner scan does not start over. For one candidate the
+//! values `nearest` takes during its scan depend only on the candidate,
+//! the fixed visit sequence (its same-rule siblings, then the shared
+//! `inner` order) and the cached normal forms; the rank and the bound only
+//! decide where the scan stops. So each candidate keeps a scan state
+//! `{cursor, nearest, done}` for the whole search, and a later visit
+//! resumes from it ([`Counter::RraScansResumed`]):
+//!
+//! * a `done` scan returns its exact nearest-neighbour distance with no
+//!   distance calls;
+//! * a carried `nearest` already below the rank's bound prunes with no
+//!   calls — a fresh scan would have pruned too, at or before the carried
+//!   cursor, since `nearest` only falls along the sequence;
+//! * otherwise the scan continues from the cursor, exactly as a fresh scan
+//!   would past that point (no earlier step could have pruned).
+//!
+//! Ranks stay bit-identical for any thread count: a resumed prune has
+//! `nearest < bound ≤` the rank's final maximum, and a completed
+//! candidate's nearest is its exact minimum. The argument rests on one
+//! invariant: **the inner set does not depend on `found`** — only the
+//! outer eligibility filter does. A future filter of inner matches on
+//! `found` (or on anything else that changes between ranks) must reset
+//! the scan states.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -226,7 +253,7 @@ pub(crate) struct EvalBufs {
 
 /// Reusable scratch state for the Algorithm 1 search: visit orders, the
 /// sibling index, the per-rank active list, the prefix-sum statistics,
-/// and the per-candidate normal-form cache. Held inside an engine
+/// the per-candidate normal-form cache, and the per-candidate scan states. Held inside an engine
 /// `Workspace` so repeated searches stop re-allocating after warm-up.
 #[derive(Debug, Default)]
 pub(crate) struct RraScratch {
@@ -256,12 +283,16 @@ pub(crate) struct RraScratch {
     /// parallel worker, and each rank.
     norms: Vec<f64>,
     norm_off: Vec<u32>,
+    /// One resumable inner-scan state per candidate, carried across the
+    /// ranks of one search (see the module docs). Reset by `prepare`,
+    /// next to the norm cache, at the top of every `search_in` call.
+    scan: Vec<ScanState>,
 }
 
 impl RraScratch {
     /// Capacities of every reusable buffer, for allocation-stability
     /// assertions on a warmed-up workspace.
-    pub(crate) fn capacity_signature(&self) -> [usize; 7] {
+    pub(crate) fn capacity_signature(&self) -> [usize; 8] {
         [
             self.outer.capacity(),
             self.inner.capacity(),
@@ -270,7 +301,94 @@ impl RraScratch {
             self.sib_pairs.capacity(),
             self.stats.capacity(),
             self.norms.capacity().max(self.norm_off.capacity()),
+            self.scan.capacity(),
         ]
+    }
+
+    /// Per-search setup: prefix-sum statistics, per-candidate normal
+    /// forms, fresh scan states, the outer and inner visit orders, and the
+    /// sibling index.
+    fn prepare(
+        &mut self,
+        values: &[f64],
+        candidates: &[RuleInterval],
+        seed: u64,
+        options: SearchOptions,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = candidates.len();
+
+        // Prefix-sum statistics + per-candidate normal forms, once per
+        // search. Every rank, worker, and reference replay reads these
+        // same cached bits, so pruning order and thread count cannot
+        // change any distance. The scan states are valid for the same
+        // `(values, candidates)` pair and the visit orders built below.
+        self.stats.rebuild(values);
+        build_norm_cache(
+            values,
+            candidates,
+            &self.stats,
+            &mut self.norms,
+            &mut self.norm_off,
+        );
+        self.scan.clear();
+        self.scan.resize(n, ScanState::FRESH);
+
+        // Outer: ascending frequency, random within ties.
+        self.outer.clear();
+        self.outer.extend(0..n);
+        self.outer.shuffle(&mut rng);
+        if options.outer_by_frequency {
+            self.outer.sort_by_key(|&i| candidates[i].frequency);
+        }
+
+        // Sibling pairs per rule (sorted: rule, then original candidate
+        // order).
+        self.sib_pairs.clear();
+        for (i, c) in candidates.iter().enumerate() {
+            if let Some(r) = c.rule {
+                self.sib_pairs.push((r, i as u32));
+            }
+        }
+        self.sib_pairs.sort_unstable();
+
+        // Shared random order for the "rest" phase of the inner loop.
+        self.inner.clear();
+        self.inner.extend(0..n);
+        self.inner.shuffle(&mut rng);
+    }
+}
+
+/// Where one outer candidate's inner scan stopped. The scan visits a
+/// fixed sequence — the candidate's same-rule siblings, then the shared
+/// `inner` order — and `nearest` after each step depends only on that
+/// sequence and the cached norms, never on the rank or the bound. So a
+/// later rank can resume from here instead of starting over.
+#[derive(Debug, Clone, Copy)]
+struct ScanState {
+    /// Next position in the visit sequence (siblings first, then
+    /// `inner`; skipped entries count too).
+    cursor: u32,
+    /// Running minimum over every evaluated match so far.
+    nearest: f64,
+    /// The whole sequence was scanned: `nearest` is the exact
+    /// nearest-neighbour distance.
+    done: bool,
+}
+
+impl ScanState {
+    /// A scan that has not started.
+    const FRESH: Self = Self {
+        cursor: 0,
+        nearest: f64::INFINITY,
+        done: false,
+    };
+
+    /// Whether an earlier visit left this state behind. Every visit
+    /// either evaluates at least one match before pruning (`nearest`
+    /// starts at infinity) or finishes the sequence.
+    fn resumed(&self) -> bool {
+        self.cursor > 0 || self.done
     }
 }
 
@@ -347,10 +465,18 @@ fn eligible(
     true
 }
 
-/// One outer candidate's full inner search: records the Visited event,
-/// runs the siblings-first then shared-random-order phases with pruning
-/// against `bound()`, and records the outcome event plus the
-/// pruned/completed counter. Returns `(nearest, pruned)`.
+/// One outer candidate's inner search, resumed from `state`: records the
+/// Visited event, walks the siblings-first then shared-random-order
+/// sequence with pruning against `bound()`, writes back where it stopped,
+/// and records the outcome event plus the pruned/completed counter.
+/// Returns `(nearest, pruned)`.
+///
+/// A `done` state returns its exact nearest with no distance calls; a
+/// carried `nearest` already below `bound()` prunes with no calls;
+/// otherwise the scan continues from `state.cursor`. Each outcome matches
+/// what a fresh scan would decide: `nearest` only falls along the
+/// sequence, so a fresh scan under the same bound would have pruned at or
+/// before the carried cursor, or not at all before it.
 ///
 /// `bound` is read after every evaluation: the sequential path passes the
 /// rank's best-so-far (constant during one candidate), the parallel path
@@ -361,6 +487,7 @@ fn scan_candidate<F: Fn() -> f64>(
     norms: &[f64],
     norm_off: &[u32],
     pi: usize,
+    state: &mut ScanState,
     sib_pairs: &[(RuleId, u32)],
     inner: &[usize],
     options: SearchOptions,
@@ -373,6 +500,9 @@ fn scan_candidate<F: Fn() -> f64>(
     let p = &candidates[pi];
     let p_len = p.interval.len();
     local.incr(Counter::RraCandidates);
+    if state.resumed() {
+        local.incr(Counter::RraScansResumed);
+    }
     let calls_before = local.counter(Counter::DistanceCalls);
     if detail {
         local.record_value(Metric::CandidateLen, p_len as u64);
@@ -387,49 +517,31 @@ fn scan_candidate<F: Fn() -> f64>(
     }
     let p_z = cached_norm(norms, norm_off, pi);
 
-    let mut nearest = f64::INFINITY;
+    let mut nearest = state.nearest;
     let mut pruned = false;
     let inner_timer = SpanTimer::start_at(timing, inner_span, Stage::RraInner);
 
-    // Inner phase 1: same-rule siblings.
-    if options.siblings_first {
-        if let Some(r) = p.rule {
-            for &(_, qi32) in sibling_range(sib_pairs, r) {
-                let qi = qi32 as usize;
-                if qi == pi {
-                    continue;
-                }
-                let q = &candidates[qi];
-                if !admissible(p, q) {
-                    continue;
-                }
-                evaluate(
-                    p_z,
-                    cached_norm(norms, norm_off, qi),
-                    local,
-                    &mut nearest,
-                    options.early_abandon,
-                );
-                if nearest < bound() {
-                    pruned = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    // Inner phase 2: everything else, in random order.
-    if !pruned {
-        for &qi in inner {
+    if !state.done {
+        // Phase 1: same-rule siblings; phase 2: everything else, in the
+        // shared random order, skipping the phase-1 siblings.
+        let phase_one = options.siblings_first && p.rule.is_some();
+        let sibs = match p.rule {
+            Some(r) if phase_one => sibling_range(sib_pairs, r),
+            _ => &[],
+        };
+        let mut cursor = state.cursor as usize;
+        pruned = nearest < bound();
+        while !pruned && cursor < sibs.len() + inner.len() {
+            let (qi, sibling) = match sibs.get(cursor) {
+                Some(&(_, qi)) => (qi as usize, true),
+                None => (inner[cursor - sibs.len()], false),
+            };
+            cursor += 1;
             if qi == pi {
                 continue;
             }
             let q = &candidates[qi];
-            // Skip phase-1 siblings (when phase 1 ran).
-            if options.siblings_first && p.rule.is_some() && q.rule == p.rule {
-                continue;
-            }
-            if !admissible(p, q) {
+            if (!sibling && phase_one && q.rule == p.rule) || !admissible(p, q) {
                 continue;
             }
             evaluate(
@@ -439,11 +551,13 @@ fn scan_candidate<F: Fn() -> f64>(
                 &mut nearest,
                 options.early_abandon,
             );
-            if nearest < bound() {
-                pruned = true;
-                break;
-            }
+            pruned = nearest < bound();
         }
+        *state = ScanState {
+            cursor: cursor as u32,
+            nearest,
+            done: !pruned,
+        };
     }
 
     inner_timer.finish(local);
@@ -517,62 +631,33 @@ pub(crate) fn search_in<R: Recorder>(
     } else {
         None
     };
-    let mut rng = StdRng::seed_from_u64(seed);
     let n = candidates.len();
     let threads = threads.max(1);
-
+    scratch.prepare(values, candidates, seed, options);
     let RraScratch {
         outer,
         inner,
         active,
         completed,
         sib_pairs,
-        stats,
         norms,
         norm_off,
+        scan,
+        ..
     } = scratch;
-
-    // Prefix-sum statistics + per-candidate normal forms, once per
-    // search. Every rank, worker, and reference replay below reads these
-    // same cached bits, so pruning order and thread count cannot change
-    // any distance.
-    stats.rebuild(values);
-    build_norm_cache(values, candidates, stats, norms, norm_off);
-
-    // Outer: ascending frequency, random within ties.
-    outer.clear();
-    outer.extend(0..n);
-    outer.shuffle(&mut rng);
-    if options.outer_by_frequency {
-        outer.sort_by_key(|&i| candidates[i].frequency);
-    }
-
-    // Sibling pairs per rule (sorted: rule, then original candidate order).
-    sib_pairs.clear();
-    for (i, c) in candidates.iter().enumerate() {
-        if let Some(r) = c.rule {
-            sib_pairs.push((r, i as u32));
-        }
-    }
-    sib_pairs.sort_unstable();
-
-    // Shared random order for the "rest" phase of the inner loop.
-    inner.clear();
-    inner.extend(0..n);
-    inner.shuffle(&mut rng);
 
     let mut found: Vec<DiscordRecord> = Vec::new();
 
     for rank in 0..k {
         let selected = if threads > 1 {
             parallel_rank(
-                candidates, norms, norm_off, outer, inner, active, completed, sib_pairs, &found,
-                options, threads, &local, detail, timing, outer_span,
+                candidates, norms, norm_off, scan, outer, inner, active, completed, sib_pairs,
+                &found, options, threads, &local, detail, timing, outer_span,
             )
         } else {
             sequential_rank(
-                candidates, norms, norm_off, outer, inner, sib_pairs, &found, options, &local,
-                detail, timing, inner_span,
+                candidates, norms, norm_off, scan, outer, inner, sib_pairs, &found, options,
+                &local, detail, timing, inner_span,
             )
         };
         match selected {
@@ -606,13 +691,15 @@ pub(crate) fn search_in<R: Recorder>(
 }
 
 /// One rank of the sequential search: Algorithm 1's outer loop with the
-/// running best-so-far as the prune bound. Returns the winning candidate
-/// index and its NN distance.
+/// running best-so-far as the prune bound, each candidate resuming its
+/// scan from `scan`. Returns the winning candidate index and its NN
+/// distance.
 #[allow(clippy::too_many_arguments)]
 fn sequential_rank(
     candidates: &[RuleInterval],
     norms: &[f64],
     norm_off: &[u32],
+    scan: &mut [ScanState],
     outer: &[usize],
     inner: &[usize],
     sib_pairs: &[(RuleId, u32)],
@@ -635,6 +722,7 @@ fn sequential_rank(
             norms,
             norm_off,
             pi,
+            &mut scan[pi],
             sib_pairs,
             inner,
             options,
@@ -661,12 +749,15 @@ fn sequential_rank(
 /// finite nearest are collected and merged deterministically: maximum
 /// distance first, ties broken toward the earliest outer position —
 /// reproducing the sequential first-wins rule bit-for-bit (see the module
-/// docs for the argument).
+/// docs for the argument). Workers resume from a shared read-only view of
+/// `scan` and return their `(candidate, state)` updates, applied after the
+/// join; each candidate is scanned by exactly one worker per rank.
 #[allow(clippy::too_many_arguments)]
 fn parallel_rank(
     candidates: &[RuleInterval],
     norms: &[f64],
     norm_off: &[u32],
+    scan: &mut [ScanState],
     outer: &[usize],
     inner: &[usize],
     active: &mut Vec<u32>,
@@ -699,8 +790,10 @@ fn parallel_rank(
     let sib_ref: &[(RuleId, u32)] = sib_pairs;
     let norms_ref: &[f64] = norms;
     let off_ref: &[u32] = norm_off;
+    let scan_ref: &[ScanState] = scan;
 
-    let worker_results: Vec<(LocalRecorder, Vec<(u32, f64)>)> = std::thread::scope(|s| {
+    type WorkerResult = (LocalRecorder, Vec<(u32, f64)>, Vec<(u32, ScanState)>);
+    let worker_results: Vec<WorkerResult> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let bound = &bound;
@@ -721,12 +814,15 @@ fn parallel_rank(
                         None
                     };
                     let mut wcompleted: Vec<(u32, f64)> = Vec::new();
+                    let mut wscan: Vec<(u32, ScanState)> = Vec::new();
                     for (ai, &pi32) in active_ref.iter().enumerate().skip(t).step_by(threads) {
+                        let mut state = scan_ref[pi32 as usize];
                         let (nearest, pruned) = scan_candidate(
                             candidates,
                             norms_ref,
                             off_ref,
                             pi32 as usize,
+                            &mut state,
                             sib_ref,
                             inner_ref,
                             options,
@@ -736,6 +832,7 @@ fn parallel_rank(
                             timing,
                             wspan,
                         );
+                        wscan.push((pi32, state));
                         // Only finite, fully-searched distances may enter
                         // the shared bound or the result set: a candidate
                         // with no admissible match has an infinite nearest
@@ -757,7 +854,7 @@ fn parallel_rank(
                             }
                         }
                     }
-                    (wlocal, wcompleted)
+                    (wlocal, wcompleted, wscan)
                 })
             })
             .collect();
@@ -767,9 +864,12 @@ fn parallel_rank(
             .collect()
     });
 
-    for (wlocal, wcompleted) in worker_results {
+    for (wlocal, wcompleted, wscan) in worker_results {
         wlocal.merge_into_under(local, outer_span);
         completed.extend(wcompleted);
+        for (pi, state) in wscan {
+            scan[pi as usize] = state;
+        }
     }
 
     // Deterministic merge: maximum nearest, ties to the earliest outer
@@ -1333,6 +1433,88 @@ mod tests {
             }
             assert_eq!(sig, scratch.capacity_signature(), "scratch buffers grew");
         }
+    }
+
+    /// A seeded random walk: no planted structure, many near-tied
+    /// candidates.
+    fn random_walk(seed: u64, len: usize) -> Vec<f64> {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = 0.0;
+        (0..len)
+            .map(|_| {
+                x += rng.gen_range(-1.0..1.0);
+                x
+            })
+            .collect()
+    }
+
+    /// The resumed scan against a from-scratch scan, rank by rank over the
+    /// same prepared search: carrying the per-candidate state must select
+    /// the same candidate with the same distance bits on every rank, and
+    /// never cost more distance calls than resetting it.
+    #[test]
+    fn carried_scan_state_matches_reset_and_costs_no_more() {
+        let mut walked = 0;
+        for (v, w) in [(planted(), 100), (random_walk(7, 3000), 60)] {
+            let cands = candidates_from(&v, w, 4, 4);
+            let options = SearchOptions::default();
+            let mut scratch = RraScratch::default();
+            scratch.prepare(&v, &cands, 0, options);
+            let RraScratch {
+                outer,
+                inner,
+                sib_pairs,
+                norms,
+                norm_off,
+                scan,
+                ..
+            } = &mut scratch;
+            let mut found: Vec<DiscordRecord> = Vec::new();
+            let (mut total_carried, mut total_reset) = (0, 0);
+            for rank in 0..6 {
+                let rank_with = |scan: &mut [ScanState], local: &LocalRecorder| {
+                    sequential_rank(
+                        &cands, norms, norm_off, scan, outer, inner, sib_pairs, &found, options,
+                        local, false, false, None,
+                    )
+                };
+                let carried_rec = LocalRecorder::counters_only();
+                let carried = rank_with(scan, &carried_rec);
+                let reset_rec = LocalRecorder::counters_only();
+                let reset = rank_with(&mut vec![ScanState::FRESH; cands.len()], &reset_rec);
+                assert_eq!(
+                    carried.map(|(pi, d)| (pi, d.to_bits())),
+                    reset.map(|(pi, d)| (pi, d.to_bits())),
+                    "rank {rank}"
+                );
+                let calls = |rec: &LocalRecorder| rec.counter(Counter::DistanceCalls);
+                assert!(
+                    calls(&carried_rec) <= calls(&reset_rec),
+                    "rank {rank}: carried {} > reset {}",
+                    calls(&carried_rec),
+                    calls(&reset_rec)
+                );
+                if rank == 0 {
+                    assert_eq!(carried_rec.counter(Counter::RraScansResumed), 0);
+                }
+                total_carried += calls(&carried_rec);
+                total_reset += calls(&reset_rec);
+                let Some((pi, distance)) = carried else {
+                    break;
+                };
+                found.push(DiscordRecord {
+                    position: cands[pi].interval.start,
+                    length: cands[pi].interval.len(),
+                    distance,
+                    rank,
+                });
+                walked += 1;
+            }
+            assert!(found.len() >= 2, "only {} ranks", found.len());
+            assert!(total_carried < total_reset);
+        }
+        assert!(walked >= 4);
     }
 
     #[test]

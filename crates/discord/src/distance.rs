@@ -193,9 +193,7 @@ pub fn euclidean_early_resampled<R: Recorder>(
     while i < n {
         let hi = (i + STRIDE).min(n);
         let w = hi - i;
-        for (t, slot) in qbuf[..w].iter_mut().enumerate() {
-            *slot = b.get(i + t);
-        }
+        b.fill(i, &mut qbuf[..w]);
         accumulate_chunk(&mut acc, &a[i..hi], &qbuf[..w]);
         i = hi;
         if lane_sum(&acc) >= limit_sq {
@@ -517,9 +515,10 @@ mod tests {
     /// The fused resample+kernel path is observationally identical to
     /// materializing the resample first: same distance bits on
     /// completion, same abandon decisions and positions, same counters
-    /// and events — across upsampling, downsampling, identity, and
-    /// degenerate source lengths, at abandoning and non-abandoning
-    /// thresholds.
+    /// and events — across upsampling, downsampling, identity, tail
+    /// chunks (lengths off the 8-point stride), and 1- and 2-point
+    /// sources and targets, at thresholds that never abandon, abandon in
+    /// the first chunk, and abandon in the last chunk.
     #[test]
     fn fused_resample_kernel_matches_materialized_bitwise() {
         let mut state = 0xD1B54A32D192ED03u64;
@@ -538,13 +537,27 @@ mod tests {
             (1, 64),
             (64, 1),
             (2, 511),
+            (301, 299),
+            (299, 301),
+            (13, 21),
+            (21, 13),
+            (2, 2),
+            (2, 13),
+            (13, 2),
+            (2, 1),
+            (1, 3),
+            (1, 1),
         ] {
             let a: Vec<f64> = (0..dst_len).map(|_| next()).collect();
             let b: Vec<f64> = (0..src_len).map(|_| next()).collect();
             let mut b_rs = vec![0.0; dst_len];
             gv_timeseries::resample_to(&b, &mut b_rs);
             let view = Resampled::new(&b, dst_len);
-            for abandon_at in [f64::INFINITY, 1.0, 0.25, 0.0] {
+            // Just under the full distance: the abandon lands in the last
+            // chunk.
+            let full = euclidean_early(&NoopRecorder, &a, &b_rs, f64::INFINITY).unwrap();
+            let mut abandon_positions = Vec::new();
+            for abandon_at in [f64::INFINITY, 1.0, 0.25, 0.0, full * (1.0 - 1e-9)] {
                 let mat_rec = LocalRecorder::new();
                 let fus_rec = LocalRecorder::new();
                 let mat = euclidean_early(&mat_rec, &a, &b_rs, abandon_at);
@@ -573,12 +586,25 @@ mod tests {
                         (m.kind, m.position, m.length),
                         (f.kind, f.position, f.length)
                     );
+                    if f.kind == EventKind::Abandoned {
+                        abandon_positions.push(f.position as usize);
+                    }
                 }
                 // Normalized variants agree the same way.
                 let mat = normalized_euclidean_early(&NoopRecorder, &a, &b_rs, abandon_at);
                 let fus =
                     normalized_euclidean_early_resampled(&NoopRecorder, &a, &view, abandon_at);
                 assert_eq!(mat.map(f64::to_bits), fus.map(f64::to_bits));
+            }
+            assert!(
+                abandon_positions.contains(&dst_len.min(STRIDE)),
+                "({src_len} -> {dst_len}): no first-chunk abandon in {abandon_positions:?}"
+            );
+            if full > 0.0 {
+                assert!(
+                    abandon_positions.contains(&dst_len),
+                    "({src_len} -> {dst_len}): no last-chunk abandon in {abandon_positions:?}"
+                );
             }
         }
     }

@@ -119,11 +119,15 @@ pub enum Counter {
     /// recomputed with the two-pass z-norm → PAA path (a bucket mean or σ
     /// sat within the kernel's rounding-error bound of a cut).
     SaxFallbacks,
+    /// RRA outer visits that resumed a candidate's inner scan from the
+    /// state an earlier rank left behind (a prune point or a finished
+    /// scan) instead of starting it over.
+    RraScansResumed,
 }
 
 impl Counter {
     /// Number of counters (array dimension for recorders).
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 17;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -143,6 +147,7 @@ impl Counter {
         Counter::RulesRelearned,
         Counter::DensityRecounts,
         Counter::SaxFallbacks,
+        Counter::RraScansResumed,
     ];
 
     /// Dense index (0-based).
@@ -170,6 +175,7 @@ impl Counter {
             Counter::RulesRelearned => "rules_relearned",
             Counter::DensityRecounts => "density_recounts",
             Counter::SaxFallbacks => "sax_fallbacks",
+            Counter::RraScansResumed => "rra_scans_resumed",
         }
     }
 

@@ -76,6 +76,45 @@ impl<'a> Resampled<'a> {
         }
         lerp_at(self.values, j as f64 * self.scale)
     }
+
+    // gv-lint: hot
+    /// Writes output indices `start..start + out.len()` into `out`,
+    /// bitwise [`get`](Resampled::get) at each index. The distance kernel
+    /// calls this once per chunk.
+    ///
+    /// The degenerate cases are decided once per call. A chunk whose every
+    /// position lies strictly inside `(0, last)` needs no endpoint clamps:
+    /// it interpolates with `i32` index math, whose truncating cast is the
+    /// same floor as `lerp_at`'s (positions there are positive and below
+    /// `i32::MAX`). Other chunks, and inputs too long for `i32`, go
+    /// through `lerp_at`.
+    #[inline]
+    pub fn fill(&self, start: usize, out: &mut [f64]) {
+        debug_assert!(start + out.len() <= self.target_len);
+        let values = self.values;
+        if values.len() <= 1 || self.target_len == 1 {
+            out.fill(values.first().copied().unwrap_or(0.0));
+            return;
+        }
+        let scale = self.scale;
+        let end_pos = (start + out.len()).saturating_sub(1) as f64 * scale;
+        let interior =
+            start > 0 && end_pos < (values.len() - 1) as f64 && values.len() < i32::MAX as usize;
+        if interior {
+            for (t, slot) in out.iter_mut().enumerate() {
+                let pos = (start + t) as f64 * scale;
+                let i = pos as i32;
+                let frac = pos - f64::from(i);
+                let i = i as usize;
+                *slot = values[i] * (1.0 - frac) + values[i + 1] * frac;
+            }
+        } else {
+            for (t, slot) in out.iter_mut().enumerate() {
+                *slot = lerp_at(values, (start + t) as f64 * scale);
+            }
+        }
+    }
+    // gv-lint: end-hot
 }
 
 /// Resamples `values` to exactly `target_len` points by linear
@@ -188,7 +227,9 @@ mod tests {
 
     /// The lazy view is bitwise the materialized resample at every index,
     /// across upsampling, downsampling, identity, and every degenerate
-    /// case `resample_to` defines.
+    /// case `resample_to` defines — through `get` and through `fill` at
+    /// every chunk start and width up to the kernel's 8, so the interior
+    /// fast path and the clamped first/last chunks are both covered.
     #[test]
     fn view_matches_resample_to_bitwise() {
         let src: Vec<f64> = (0..97).map(|i| (i as f64 * 0.31).sin() * 3.7).collect();
@@ -196,10 +237,16 @@ mod tests {
             (97usize, 300usize),
             (97, 97),
             (97, 13),
+            (97, 96),
+            (96, 97),
             (97, 1),
             (1, 5),
+            (1, 1),
             (0, 4),
             (2, 2),
+            (2, 9),
+            (9, 2),
+            (2, 1),
         ] {
             let input = &src[..n];
             let mut out = vec![0.0; m];
@@ -213,6 +260,19 @@ mod tests {
                     "({n} -> {m})[{j}]: view {} vs materialized {expect}",
                     view.get(j)
                 );
+            }
+            for width in 1..=m.min(8) {
+                for start in 0..=m - width {
+                    let mut chunk = [f64::NAN; 8];
+                    view.fill(start, &mut chunk[..width]);
+                    for (t, got) in chunk[..width].iter().enumerate() {
+                        assert_eq!(
+                            got.to_bits(),
+                            out[start + t].to_bits(),
+                            "({n} -> {m}) fill({start}, {width})[{t}]"
+                        );
+                    }
+                }
             }
         }
         assert!(Resampled::new(&src, 0).is_empty());

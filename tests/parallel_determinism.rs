@@ -34,8 +34,13 @@ fn random_series(seed: u64, len: usize) -> Vec<f64> {
     v
 }
 
-fn ranked_key(v: &[f64], config: &PipelineConfig, threads: usize) -> Vec<(usize, usize, u64)> {
-    let detector = RraDetector::new(config.clone(), 3)
+fn ranked_key(
+    v: &[f64],
+    config: &PipelineConfig,
+    k: usize,
+    threads: usize,
+) -> Vec<(usize, usize, u64)> {
+    let detector = RraDetector::new(config.clone(), k)
         .with_engine(EngineConfig::sequential().with_threads(threads));
     let report = detector
         .detect(&SeriesView::new(v), &mut Workspace::new(), &NoopRecorder)
@@ -47,18 +52,24 @@ fn ranked_key(v: &[f64], config: &PipelineConfig, threads: usize) -> Vec<(usize,
         .collect()
 }
 
+/// Top-3 and top-5: every rank past the first resumes candidates' inner
+/// scans from the states earlier ranks left behind, and those states
+/// differ by thread count (workers prune at different points). The ranks
+/// must not.
 #[test]
 fn parallel_rra_is_bit_identical_on_planted_series() {
     let v = planted_series();
     let config = PipelineConfig::new(100, 5, 4).unwrap();
-    let sequential = ranked_key(&v, &config, 1);
-    assert!(!sequential.is_empty());
-    for threads in [2, 4, 8] {
-        assert_eq!(
-            ranked_key(&v, &config, threads),
-            sequential,
-            "threads={threads}"
-        );
+    for k in [3, 5] {
+        let sequential = ranked_key(&v, &config, k, 1);
+        assert!(sequential.len() >= 3, "k={k}: {sequential:?}");
+        for threads in [2, 4, 8] {
+            assert_eq!(
+                ranked_key(&v, &config, k, threads),
+                sequential,
+                "k={k} threads={threads}"
+            );
+        }
     }
 }
 
@@ -67,13 +78,15 @@ fn parallel_rra_is_bit_identical_on_random_series() {
     for seed in 0..4u64 {
         let v = random_series(seed + 300, 1500);
         let config = PipelineConfig::new(60, 4, 4).unwrap().with_seed(seed);
-        let sequential = ranked_key(&v, &config, 1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                ranked_key(&v, &config, threads),
-                sequential,
-                "seed={seed} threads={threads}"
-            );
+        for k in [3, 5] {
+            let sequential = ranked_key(&v, &config, k, 1);
+            for threads in [2, 4, 8] {
+                assert_eq!(
+                    ranked_key(&v, &config, k, threads),
+                    sequential,
+                    "seed={seed} k={k} threads={threads}"
+                );
+            }
         }
     }
 }
