@@ -2,10 +2,13 @@
 //! 100k points through the bounded-horizon [`StreamingDetector`]
 //! (push every point, exact RRA re-detection every few thousand) and
 //! verifies the per-point cost stays **flat** — within 1.5x between the
-//! two history sizes. With the horizon fixed, the incremental engine's
-//! work per push is bounded by the retained window, never by how long
-//! the stream has been running; a super-linear drift here means eviction
-//! is leaking state. Writes one trace per history size (at the current
+//! two history sizes. With the horizon fixed, the engine's work per push
+//! (incremental SAX, interning, one Sequitur push, front eviction) and
+//! per read (the density curve, computed from the live grammar in
+//! O(horizon + occurrences) by each `alerts` call) is bounded by the
+//! retained window, never by how long the stream has been running; a
+//! super-linear drift here means eviction is leaking state. Writes one
+//! trace per history size (at the current
 //! `gv_obs::SCHEMA_VERSION`) to `BENCH_stream.json`.
 //!
 //! ```text

@@ -5,10 +5,12 @@
 //! The incremental path earns its keep three ways, and each claim is
 //! checked bit-for-bit:
 //!
-//! * **Density**: the `±1`-delta curve maintained from the grammar
-//!   journal must equal a naive recount over the engine's own grammar
-//!   snapshot — any drift in the journal-to-interval bookkeeping (rule
-//!   birth, death, eviction, relearn) shows up here;
+//! * **Density**: the curve the engine computes on read (occurrences
+//!   mapped through its retained records, clipped to the horizon and
+//!   summed by a `CoverageCounter` difference array) must equal a naive
+//!   point-by-point recount over the engine's own grammar snapshot — any
+//!   drift in the token-to-point mapping or the horizon clipping shows up
+//!   here;
 //! * **Discords**: [`StreamingDetector::detect`] over the horizon view
 //!   must match a fresh batch detector on the same raw slice, interval
 //!   and distance bits included (workspace reuse must be invisible);
@@ -100,8 +102,8 @@ fn check_retained_values(det: &StreamingDetector, values: &[f64]) -> CheckResult
     result
 }
 
-/// The incrementally-maintained density curve must equal a naive recount
-/// over the engine's *own* grammar snapshot, clipped to the retained
+/// The engine's on-read density curve must equal a naive point-by-point
+/// recount over its *own* grammar snapshot, clipped to the retained
 /// region — the streaming analogue of
 /// [`check_density_recount`](crate::check_density_recount).
 fn check_streaming_density(det: &StreamingDetector) -> CheckResult {
@@ -138,8 +140,8 @@ fn check_streaming_density(det: &StreamingDetector) -> CheckResult {
     for (i, (&fast, &slow)) in curve.iter().zip(&naive).enumerate() {
         if fast != slow {
             result.violations.push(format!(
-                "density at retained point {i} (absolute {}): incremental curve \
-                 says {fast}, recount {slow}",
+                "density at retained point {i} (absolute {}): engine curve \
+                 says {fast}, naive recount {slow}",
                 tail + i
             ));
             if result.violations.len() >= 8 {

@@ -18,11 +18,13 @@
 //!   lockstep with the grammar;
 //! * the grammar itself retires front tokens via
 //!   [`Sequitur::evict_front`] as they age out;
-//! * the rule-density curve is maintained *incrementally*: the grammar's
-//!   structural journal reports each rule-occurrence birth/death, which
-//!   becomes a ±1 delta over the covered points instead of a full recount
-//!   (a journal event without a resolvable position forces one recount,
-//!   counted by [`Counter::DensityRecounts`]);
+//! * the rule-density curve is computed *on read*: each
+//!   [`density_curve`](StreamingDetector::density_curve) call (and so each
+//!   [`alerts`](StreamingDetector::alerts) call) maps the live grammar's
+//!   rule occurrences through the retained records onto the horizon and
+//!   sums them with a difference array — O(horizon + occurrences) per
+//!   read, nothing per push (each read is counted by
+//!   [`Counter::DensityRecounts`]);
 //! * [`detect`](StreamingDetector::detect) dispatches over the horizon
 //!   view only, so a from-scratch batch run over the same slice produces
 //!   bit-identical discords.
@@ -36,10 +38,11 @@
 //! symmetrically.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use gv_obs::{time_stage, Counter, Event, EventKind, NoopRecorder, PipelineTrace, Recorder, Stage};
 use gv_sax::{IncrementalDiscretizer, SaxDictionary, SaxRecord, SaxWord};
-use gv_sequitur::{GrammarEvent, Sequitur};
+use gv_sequitur::Sequitur;
 use gv_timeseries::{CoverageCounter, Interval};
 
 use crate::config::PipelineConfig;
@@ -91,10 +94,6 @@ impl<T: Copy> SlidingBuf<T> {
         &self.buf[self.start..]
     }
 
-    fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.buf[self.start..]
-    }
-
     fn capacity(&self) -> usize {
         self.buf.capacity()
     }
@@ -126,9 +125,6 @@ pub struct StreamingDetector<R: Recorder = NoopRecorder> {
     discretizer: IncrementalDiscretizer,
     /// The retained raw values (the whole stream when unbounded).
     values: SlidingBuf<f64>,
-    /// Incrementally-maintained rule-density curve, aligned with `values`
-    /// (only maintained when a horizon is set).
-    curve: SlidingBuf<i64>,
     /// Total points consumed.
     seen: usize,
     dictionary: SaxDictionary,
@@ -136,8 +132,6 @@ pub struct StreamingDetector<R: Recorder = NoopRecorder> {
     /// Surviving records (post numerosity reduction) over the horizon;
     /// record `i` is retained grammar token `i`.
     records: VecDeque<SaxRecord>,
-    /// Absolute token index of `records.front()` (tokens popped so far).
-    tokens_dropped: u64,
     /// Recycled word storage: boxes from evicted records are reused for
     /// new words, so steady-state pushes stop allocating.
     word_pool: Vec<Box<[u8]>>,
@@ -147,13 +141,10 @@ pub struct StreamingDetector<R: Recorder = NoopRecorder> {
     have_last: bool,
     /// Cumulative kept words (monotone even under eviction).
     words_emitted: u64,
-    /// Scratch for draining the grammar's structural journal.
-    journal: Vec<GrammarEvent>,
-    /// A journal event without a resolvable position invalidated the
-    /// incremental curve; a recount runs at the end of the push.
-    curve_dirty: bool,
-    /// Cumulative full curve recounts (mirrors [`Counter::DensityRecounts`]).
-    density_recounts: u64,
+    /// Cumulative on-read curve computations (mirrors
+    /// [`Counter::DensityRecounts`]); atomic because reads take `&self`
+    /// and the detector stays `Sync`.
+    density_recounts: AtomicU64,
     /// Reused across [`detect`](StreamingDetector::detect) calls, so
     /// periodic re-detection stops allocating once warmed up.
     workspace: Workspace,
@@ -188,19 +179,15 @@ impl<R: Recorder> StreamingDetector<R> {
             horizon: 0,
             discretizer,
             values: SlidingBuf::new(0),
-            curve: SlidingBuf::new(0),
             seen: 0,
             dictionary: SaxDictionary::new(),
             sequitur: Sequitur::new(),
             records: VecDeque::new(),
-            tokens_dropped: 0,
             word_pool: Vec::new(),
             last_word: Vec::new(),
             have_last: false,
             words_emitted: 0,
-            journal: Vec::new(),
-            curve_dirty: false,
-            density_recounts: 0,
+            density_recounts: AtomicU64::new(0),
             workspace: Workspace::new(),
             recorder,
             metrics_every: 0,
@@ -226,9 +213,7 @@ impl<R: Recorder> StreamingDetector<R> {
             horizon.max(self.config.window())
         };
         self.values = SlidingBuf::new(self.horizon);
-        self.curve = SlidingBuf::new(self.horizon);
         if self.horizon > 0 {
-            self.sequitur.enable_journal();
             // The pool never outgrows the peak retained-record count (one
             // box per kept word in flight), so reserving that up front
             // freezes its capacity for the lifetime of the stream.
@@ -306,17 +291,21 @@ impl<R: Recorder> StreamingDetector<R> {
     /// freezes after warmup — the long-run memory guarantee: unbounded
     /// streaming within a fixed horizon stops allocating.
     pub fn capacity_signature(&self) -> Vec<usize> {
+        self.capacity_signature_with(self.sequitur.capacity_signature())
+    }
+
+    /// [`capacity_signature`](StreamingDetector::capacity_signature) with
+    /// `grammar` in place of the grammar's own entries.
+    fn capacity_signature_with(&self, grammar: Vec<usize>) -> Vec<usize> {
         let mut sig = vec![
             self.values.capacity(),
-            self.curve.capacity(),
             self.records.capacity(),
             self.word_pool.capacity(),
             self.last_word.capacity(),
-            self.journal.capacity(),
             self.dictionary.capacity(),
         ];
         sig.extend(self.discretizer.capacity_signature());
-        sig.extend(self.sequitur.capacity_signature());
+        sig.extend(grammar);
         sig.extend(self.workspace.capacity_signature());
         sig
     }
@@ -337,9 +326,6 @@ impl<R: Recorder> StreamingDetector<R> {
         let window = self.config.window();
         // gv-lint: hot
         self.values.push(value);
-        if self.horizon > 0 {
-            self.curve.push(0);
-        }
         self.seen += 1;
         // Discretize into the reused scratch word — no per-push buffer.
         let fallbacks = self.discretizer.fallbacks();
@@ -384,11 +370,8 @@ impl<R: Recorder> StreamingDetector<R> {
             self.recorder.incr(Counter::WordsDropped);
         }
         if self.horizon > 0 {
-            // Rule births from this push become +1 curve deltas.
-            self.apply_journal();
             // Retire records whose window slid out of the horizon; the
-            // grammar evicts the same tokens, journaling every occurrence
-            // death (applied while the records can still resolve offsets).
+            // grammar evicts the same tokens.
             let boundary = self.seen.saturating_sub(self.horizon);
             let mut evict = 0usize;
             while let Some(rec) = self.records.get(evict) {
@@ -402,13 +385,11 @@ impl<R: Recorder> StreamingDetector<R> {
                 let before = self.sequitur.stats();
                 self.sequitur.evict_front(evict);
                 let after = self.sequitur.stats();
-                self.apply_journal();
                 for _ in 0..evict {
                     if let Some(rec) = self.records.pop_front() {
                         self.word_pool.push(rec.word.into_bytes());
                     }
                 }
-                self.tokens_dropped += evict as u64;
                 // Live counters mirror the cumulative flush snapshots, so
                 // a per-run recorder sees eviction work too.
                 self.recorder.add(Counter::TokensEvicted, evict as u64);
@@ -421,90 +402,12 @@ impl<R: Recorder> StreamingDetector<R> {
                     after.rules_relearned - before.rules_relearned,
                 );
             }
-            if self.curve_dirty {
-                // gv-lint: allow(alloc-reachability) cold fallback: recount_curve runs only when a journal event lost its anchor; the steady-state path never sets curve_dirty
-                self.recount_curve();
-            }
         }
         // gv-lint: end-hot
         if self.metrics_every > 0 && self.seen.is_multiple_of(self.metrics_every) {
             self.flush_metrics();
         }
         Ok(())
-    }
-
-    /// Drains the grammar journal and folds each positioned occurrence
-    /// birth/death into the curve as a ±1 interval delta. An event whose
-    /// position the grammar could not track marks the curve dirty (one
-    /// recount at the end of the push).
-    fn apply_journal(&mut self) {
-        let mut events = std::mem::take(&mut self.journal);
-        self.sequitur.drain_journal(&mut events);
-        for e in events.drain(..) {
-            match e {
-                GrammarEvent::Born {
-                    token_start,
-                    token_len,
-                } => self.apply_span(token_start, token_len, 1),
-                GrammarEvent::Died {
-                    token_start,
-                    token_len,
-                } => self.apply_span(token_start, token_len, -1),
-                GrammarEvent::Dirty => self.curve_dirty = true,
-            }
-        }
-        self.journal = events;
-    }
-
-    /// Adds `delta` over the points covered by the token span
-    /// `[token_start, token_start + token_len)` (absolute token indexes),
-    /// clipped to the retained region.
-    fn apply_span(&mut self, token_start: u64, token_len: u64, delta: i64) {
-        if self.curve_dirty {
-            return; // a recount will rebuild everything anyway
-        }
-        debug_assert!(token_start >= self.tokens_dropped, "span below the front");
-        let rel = (token_start - self.tokens_dropped) as usize;
-        let last = rel + token_len as usize - 1;
-        debug_assert!(last < self.records.len(), "span beyond retained tokens");
-        let start_pt = self.records[rel].offset;
-        let end_pt = self.records[last].offset + self.config.window();
-        let tail = self.horizon_start();
-        if end_pt <= tail {
-            return;
-        }
-        let lo = start_pt.max(tail) - tail;
-        let hi = end_pt.min(self.seen) - tail;
-        for c in &mut self.curve.as_mut_slice()[lo..hi] {
-            *c += delta;
-        }
-    }
-
-    /// Rebuilds the curve over the retained region from a fresh grammar
-    /// snapshot — the fallback when a journal event had no resolvable
-    /// position. O(horizon + occurrences), never O(stream).
-    fn recount_curve(&mut self) {
-        self.curve_dirty = false;
-        self.density_recounts += 1;
-        self.recorder.incr(Counter::DensityRecounts);
-        for c in self.curve.as_mut_slice() {
-            *c = 0;
-        }
-        let grammar = self.sequitur.snapshot();
-        let tail = self.horizon_start();
-        let window = self.config.window();
-        for occ in grammar.occurrences() {
-            let start_pt = self.records[occ.token_start].offset;
-            let end_pt = self.records[occ.token_start + occ.token_len - 1].offset + window;
-            if end_pt <= tail {
-                continue;
-            }
-            let lo = start_pt.max(tail) - tail;
-            let hi = end_pt.min(self.seen) - tail;
-            for c in &mut self.curve.as_mut_slice()[lo..hi] {
-                *c += 1;
-            }
-        }
     }
 
     /// Flushes a terminal metrics snapshot covering the tail of the
@@ -546,7 +449,8 @@ impl<R: Recorder> StreamingDetector<R> {
         trace.counters[Counter::TokensEvicted.index()] = stats.tokens_evicted;
         trace.counters[Counter::RulesEvicted.index()] = stats.rules_evicted;
         trace.counters[Counter::RulesRelearned.index()] = stats.rules_relearned;
-        trace.counters[Counter::DensityRecounts.index()] = self.density_recounts;
+        trace.counters[Counter::DensityRecounts.index()] =
+            self.density_recounts.load(Ordering::Relaxed);
         self.last_flush_seen = self.seen;
         self.snapshots.push(trace);
         if self.recorder.detailed() {
@@ -576,25 +480,26 @@ impl<R: Recorder> StreamingDetector<R> {
 
     /// The rule-density curve over the retained region, oldest point
     /// first (`curve[i]` describes absolute point `horizon_start() + i`).
-    /// Unbounded engines recount from a snapshot; bounded engines return
-    /// the incrementally-maintained curve — the differential tests assert
-    /// the two are bit-identical.
+    /// Computed on each call from the live grammar: every rule occurrence
+    /// maps through the retained records to its point interval, clipped
+    /// to `[horizon_start(), len())`, and a difference array sums them —
+    /// O(horizon + occurrences), counted once by
+    /// [`Counter::DensityRecounts`]. Bounded and unbounded engines share
+    /// this path, and it equals the batch pipeline's curve on the same
+    /// model.
     pub fn density_curve(&self) -> Vec<i64> {
         time_stage(&self.recorder, Stage::Density, || {
-            if self.horizon > 0 {
-                debug_assert!(!self.curve_dirty, "push always settles the curve");
-                return self.curve.as_slice().to_vec();
+            self.density_recounts.fetch_add(1, Ordering::Relaxed);
+            self.recorder.incr(Counter::DensityRecounts);
+            let tail = self.horizon_start();
+            let window = self.config.window();
+            let mut cc = CoverageCounter::new(self.values.len());
+            for occ in self.sequitur.snapshot().occurrences() {
+                let start = self.records[occ.token_start].offset;
+                let end = self.records[occ.token_start + occ.token_len - 1].offset + window;
+                cc.add(Interval::new(start.max(tail) - tail, end.max(tail) - tail));
             }
-            match self.model() {
-                Ok(model) => {
-                    let mut cc = CoverageCounter::new(model.series_len);
-                    for occ in model.grammar.occurrences() {
-                        cc.add(model.occurrence_interval(&occ));
-                    }
-                    cc.finish()
-                }
-                Err(_) => Vec::new(),
-            }
+            cc.finish()
         })
     }
 
@@ -1010,8 +915,8 @@ mod tests {
     }
 
     /// A from-first-principles recount of the retained density curve from
-    /// the engine's own model — what the incremental ±1 deltas must equal
-    /// to the bit.
+    /// the engine's own model, one point at a time — what the on-read
+    /// difference-array curve must equal to the bit.
     fn recount_from_model(det: &StreamingDetector) -> Vec<i64> {
         let model = det.model().unwrap();
         let tail = det.horizon_start();
@@ -1029,10 +934,9 @@ mod tests {
 
     #[test]
     fn horizon_covering_stream_matches_unbounded_engine() {
-        // With a horizon larger than the stream nothing evicts, but the
-        // incremental curve path is active — it must agree with the
-        // unbounded recount (and therefore with the batch pipeline) bit
-        // for bit.
+        // With a horizon larger than the stream nothing evicts, and the
+        // bounded engine must agree with the unbounded one (and therefore
+        // with the batch pipeline) bit for bit.
         let values = planted(1500, 700..760);
         let config = PipelineConfig::new(50, 4, 4).unwrap();
         let mut unbounded = StreamingDetector::new(config.clone());
@@ -1051,9 +955,9 @@ mod tests {
 
     #[test]
     fn horizon_density_curve_matches_recount_from_own_model() {
-        // The incremental-vs-batch differential, curve half: after heavy
-        // eviction the delta-maintained curve equals a from-scratch
-        // recount over the engine's own grammar, bit for bit.
+        // The streaming-vs-batch differential, curve half: after heavy
+        // eviction the on-read curve equals a point-by-point recount over
+        // the engine's own grammar, bit for bit.
         let values = planted(4000, 2500..2560);
         let config = PipelineConfig::new(40, 4, 4).unwrap();
         let mut det = StreamingDetector::new(config).with_horizon(900);
@@ -1063,7 +967,7 @@ mod tests {
                 assert_eq!(
                     det.density_curve(),
                     recount_from_model(&det),
-                    "curve deltas drifted at point {i}"
+                    "curve drifted at point {i}"
                 );
             }
         }
@@ -1155,9 +1059,14 @@ mod tests {
     fn sax_fallbacks_keep_the_push_path_allocation_free() {
         // Flat stretches put every bucket exactly on α=4's 0.0 cut, so the
         // SAX kernel takes its two-pass fallback there; that path must be
-        // as allocation-free as the O(P) one (the discretizer's buffers,
-        // the kept-word pool and the last-word scratch stay frozen), and
-        // every fallback is published to the recorder.
+        // as allocation-free as the O(P) one, and every fallback is
+        // published to the recorder. Every buffer the detector,
+        // discretizer, grammar and workspace own freezes after warmup,
+        // except Sequitur's deferred-utility queue: it holds the rules one
+        // public call's cascade dropped to a single use, so its high-water
+        // mark is a record statistic that can still creep up (capacity
+        // 8 → 16 on this stream), but it stays within the recycled rules
+        // arena.
         let config = PipelineConfig::new(40, 4, 4).unwrap();
         let mut det = StreamingDetector::with_recorder(config, gv_obs::LocalRecorder::new())
             .with_horizon(1024);
@@ -1168,28 +1077,162 @@ mod tests {
                 (i as f64 / 9.0).sin() + 0.3 * (i as f64 / 53.0).cos()
             }
         };
-        let sax_sig = |det: &StreamingDetector<gv_obs::LocalRecorder>| {
-            let mut sig = det.discretizer.capacity_signature();
-            sig.extend([det.word_pool.capacity(), det.last_word.capacity()]);
-            sig
+        // The full signature with the utility queue taken out.
+        let frozen_part = |det: &StreamingDetector<gv_obs::LocalRecorder>| {
+            det.capacity_signature_with(det.sequitur.arena_capacity_signature())
         };
         let warmup = 20_000usize;
         for i in 0..warmup {
             det.push(signal(i)).unwrap();
         }
-        let sig = sax_sig(&det);
+        let sig = frozen_part(&det);
         let before = det.recorder().counter(Counter::SaxFallbacks);
-        for i in warmup..60_000 {
+        for i in warmup..200_000 {
             det.push(signal(i)).unwrap();
         }
         assert_eq!(
             sig,
-            sax_sig(&det),
-            "SAX push-path buffers grew after warmup"
+            frozen_part(&det),
+            "push-path buffers grew after warmup"
+        );
+        let (rules, queue) = (
+            det.sequitur.rules_capacity(),
+            det.sequitur.utility_queue_capacity(),
+        );
+        assert!(
+            queue <= rules,
+            "utility queue {queue} outgrew the rules arena {rules}"
         );
         let fallbacks = det.recorder().counter(Counter::SaxFallbacks);
         assert!(fallbacks > before, "flat stretches must take the fallback");
         assert_eq!(fallbacks, det.discretizer.fallbacks());
+    }
+
+    #[test]
+    fn detector_is_sync_with_a_sync_recorder() {
+        // Curve reads take `&self`, so a shared detector can serve
+        // concurrent `density_curve`/`alerts` reads.
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<StreamingDetector<gv_obs::CollectingRecorder>>();
+        assert_sync::<StreamingDetector>();
+    }
+
+    #[test]
+    fn pushes_never_recount_the_curve() {
+        // The curve is computed only when read: a long evicting stream
+        // records no recount at all, and afterwards every curve read (and
+        // every alerts call, which reads the curve once) counts exactly one.
+        use gv_obs::LocalRecorder;
+        let config = PipelineConfig::new(40, 4, 4).unwrap();
+        let mut det = StreamingDetector::with_recorder(config, LocalRecorder::new())
+            .with_horizon(900)
+            .metrics_every(1000);
+        for &v in &planted(6000, 4000..4060) {
+            det.push(v).unwrap();
+        }
+        assert!(det.sequitur.tokens_evicted() > 0);
+        let recounts = |det: &StreamingDetector<LocalRecorder>| {
+            det.recorder().counter(Counter::DensityRecounts)
+        };
+        assert_eq!(recounts(&det), 0, "a push recounted the curve");
+        assert_eq!(det.snapshots().len(), 6);
+        assert!(det
+            .snapshots()
+            .iter()
+            .all(|s| s.counter(Counter::DensityRecounts) == 0));
+        for reads in 1..=3u64 {
+            det.density_curve();
+            assert_eq!(recounts(&det), reads);
+        }
+        det.alerts(0, 100);
+        assert_eq!(recounts(&det), 4);
+        // Flush snapshots carry the same cumulative count.
+        det.push(0.0).unwrap();
+        assert!(det.flush_now());
+        let last = det.snapshots().last().unwrap();
+        assert_eq!(last.counter(Counter::DensityRecounts), 4);
+    }
+
+    /// A naive alert scan: maximal runs of `curve` at or below
+    /// `threshold`, shifted to absolute positions and kept only inside
+    /// the mature region — written out point by point, independent of
+    /// [`RuleDensity`].
+    fn naive_alerts(
+        det: &StreamingDetector,
+        curve: &[i64],
+        threshold: i64,
+        maturity: usize,
+    ) -> Vec<Interval> {
+        let tail = det.horizon_start();
+        let window = det.config().window();
+        let mature_end = det.len().saturating_sub(maturity.max(window));
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < curve.len() {
+            if curve[i] > threshold {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < curve.len() && curve[i] <= threshold {
+                i += 1;
+            }
+            let iv = Interval::new(tail + start, tail + i);
+            if iv.start >= tail + window && iv.end <= mature_end {
+                runs.push(iv);
+            }
+        }
+        runs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Mid-stream differential: at random read points of a random
+        /// stream (flat stretches, quantized steps, or a planted anomaly;
+        /// random window and horizon, `0` = unbounded), the on-read curve
+        /// equals a point-by-point recount from the engine's own model,
+        /// and `alerts` equals the runs of that recount.
+        #[test]
+        fn curve_reads_match_naive_recount_mid_stream(
+            family in 0usize..3,
+            window in 16usize..48,
+            horizon_windows in 0usize..24,
+            len in 1200usize..4000,
+            read_gap in 90usize..500,
+            threshold in 0i64..3,
+            maturity in 0usize..200,
+        ) {
+            let signal = |i: usize| -> f64 {
+                let base = (i as f64 / 11.0).sin() + 0.4 * (i as f64 / 37.0).cos();
+                match family {
+                    0 if (i / 300) % 4 == 1 => 0.0,
+                    1 => (base * 3.0).round() / 3.0,
+                    2 if (len / 2..len / 2 + 70).contains(&i) => 0.02 * i as f64 % 1.7,
+                    _ => base,
+                }
+            };
+            let config = PipelineConfig::new(window, 4, 4).unwrap();
+            // One in twelve cases runs unbounded (horizon 0).
+            let horizon = if horizon_windows < 2 { 0 } else { horizon_windows * window };
+            let mut det = StreamingDetector::new(config).with_horizon(horizon);
+            let mut reads = 0;
+            for i in 0..len {
+                det.push(signal(i)).unwrap();
+                if (i + 1) % read_gap == 0 || i + 1 == len {
+                    reads += 1;
+                    let curve = det.density_curve();
+                    let naive = recount_from_model(&det);
+                    proptest::prop_assert_eq!(&curve, &naive, "curve at point {}", i);
+                    proptest::prop_assert_eq!(
+                        det.alerts(threshold, maturity),
+                        naive_alerts(&det, &naive, threshold, maturity),
+                        "alerts at point {}", i
+                    );
+                }
+            }
+            proptest::prop_assert!(reads >= 3);
+        }
     }
 
     #[test]

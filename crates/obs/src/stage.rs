@@ -112,8 +112,8 @@ pub enum Counter {
     /// Rules re-formed during eviction repair (an unrolled occurrence
     /// re-exposed a repeated digram over the retained suffix).
     RulesRelearned,
-    /// Full density-curve recounts forced by position-less grammar churn
-    /// (the incremental ±1 delta path couldn't absorb the event).
+    /// Streaming density-curve computations: the curve is computed on
+    /// read, so this is one per curve read and never grows on a push.
     DensityRecounts,
     /// Sliding windows the certified SAX kernel could not decide and
     /// recomputed with the two-pass z-norm → PAA path (a bucket mean or σ

@@ -157,42 +157,6 @@ proptest! {
             verdict, pattern, reps, horizon
         );
     }
-
-    /// The journal's birth/death arithmetic is conservative: with the
-    /// journal enabled, every Born/Died event carries a span inside the
-    /// pushed stream, and events at known cursors never exceed the stream.
-    #[test]
-    fn journal_events_stay_in_bounds(
-        tokens in proptest::collection::vec(0u32..4, 1..200),
-        horizon in 4usize..32,
-    ) {
-        use gv_sequitur::GrammarEvent;
-        let mut s = Sequitur::new();
-        s.enable_journal();
-        let mut events = Vec::new();
-        for &t in &tokens {
-            s.push(t);
-            if s.len() > horizon {
-                let over = s.len() - horizon;
-                s.evict_front(over);
-            }
-            s.drain_journal(&mut events);
-        }
-        let total = tokens.len() as u64;
-        for e in &events {
-            match *e {
-                GrammarEvent::Born { token_start, token_len }
-                | GrammarEvent::Died { token_start, token_len } => {
-                    prop_assert!(token_len >= 2, "rule spans at least two tokens");
-                    prop_assert!(
-                        token_start + token_len <= total,
-                        "event {:?} exceeds stream length {}", e, total
-                    );
-                }
-                GrammarEvent::Dirty => {}
-            }
-        }
-    }
 }
 
 /// Regression: evicting a single token from this two-period tiled stream
