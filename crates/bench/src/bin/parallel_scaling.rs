@@ -3,8 +3,13 @@
 //! discords are **bit-identical** to the sequential run (the engine's
 //! determinism guarantee), and writes one trace per thread count (at the
 //! current `gv_obs::SCHEMA_VERSION`) to `BENCH_parallel.json`. Each
-//! instrumented run also includes a density pass so every pipeline stage
-//! reports a nonzero duration in the export.
+//! instrumented run also includes a density pass on the same view, so
+//! every pipeline stage reports a nonzero duration in the export and the
+//! density pass reuses the RRA run's model (`model_reuses` 1).
+//!
+//! Every detect gets a fresh `SeriesView`: a view the workspace has
+//! already built a model for would be a model-slot hit, and the timed
+//! reps would then measure the search alone instead of the pipeline.
 //!
 //! ```text
 //! cargo run -p gv-bench --release --bin parallel_scaling [-- OUT.json [<points>]]
@@ -43,7 +48,6 @@ fn main() {
 
     let data = ecg_record("ECG 300 (synthetic)", points, 300, 3, 0x300);
     let values = data.series.values();
-    let series = SeriesView::new(values);
     let config = PipelineConfig::new(300, 4, 4).expect("valid params");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -67,13 +71,21 @@ fn main() {
         let mut ws = Workspace::new();
         // Warm-up run (fills the workspace buffers), then best-of-REPS.
         let warm = detector
-            .detect(&series, &mut ws, &gva_core::obs::NoopRecorder)
+            .detect(
+                &SeriesView::new(values),
+                &mut ws,
+                &gva_core::obs::NoopRecorder,
+            )
             .expect("pipeline runs");
         let mut best_ns = u64::MAX;
         for _ in 0..REPS {
             let t0 = Instant::now();
             let rep = detector
-                .detect(&series, &mut ws, &gva_core::obs::NoopRecorder)
+                .detect(
+                    &SeriesView::new(values),
+                    &mut ws,
+                    &gva_core::obs::NoopRecorder,
+                )
                 .expect("pipeline runs");
             let ns = t0.elapsed().as_nanos() as u64;
             best_ns = best_ns.min(ns);
@@ -83,6 +95,7 @@ fn main() {
         // pass into the same recorder — without it the density stage
         // reads 0 ns in the export (RRA alone never touches it).
         let recorder = CollectingRecorder::new();
+        let series = SeriesView::new(values);
         let report = detector
             .detect(&series, &mut ws, &recorder)
             .expect("pipeline runs");

@@ -19,6 +19,8 @@
 //! variable (missing or invalid → 1), which is how CI runs the whole
 //! suite both sequentially and parallel.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use gv_discord::{
     brute_force_discords_in, hotsax_discords_in, DiscordRecord, HotSaxConfig, SearchStats,
 };
@@ -79,11 +81,23 @@ impl Default for EngineConfig {
     }
 }
 
+/// Source of [`SeriesView`] ids: one process-wide counter, so no two
+/// constructions ever share an id.
+static NEXT_VIEW_ID: AtomicU64 = AtomicU64::new(0);
+
 /// An immutable view of the series under analysis — the shared input every
 /// detector reads and none may mutate.
+///
+/// Every construction ([`new`](SeriesView::new),
+/// [`try_new`](SeriesView::try_new), `From`) mints a process-unique id;
+/// copies share it. The view borrows its slice immutably for its whole
+/// lifetime, so one id always names one unchanged series — which is what
+/// lets a [`Workspace`] reuse the model it built for a view when a second
+/// detector runs on the same view.
 #[derive(Debug, Clone, Copy)]
 pub struct SeriesView<'a> {
     values: &'a [f64],
+    id: u64,
 }
 
 impl<'a> SeriesView<'a> {
@@ -93,7 +107,10 @@ impl<'a> SeriesView<'a> {
     /// ergonomics); every detector validates finiteness on entry. Use
     /// [`SeriesView::try_new`] to surface the error at construction time.
     pub fn new(values: &'a [f64]) -> Self {
-        Self { values }
+        Self {
+            values,
+            id: NEXT_VIEW_ID.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     /// Wraps a raw series, rejecting NaN/±∞ values up front.
@@ -102,12 +119,18 @@ impl<'a> SeriesView<'a> {
     /// [`crate::Error::NonFiniteInput`] naming the first offending index.
     pub fn try_new(values: &'a [f64]) -> Result<Self> {
         check_finite(values)?;
-        Ok(Self { values })
+        Ok(Self::new(values))
     }
 
     /// The underlying values.
     pub fn values(&self) -> &'a [f64] {
         self.values
+    }
+
+    /// This view's process-unique id: shared by copies, never by two
+    /// constructions (even over the same slice).
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Series length.
@@ -305,7 +328,7 @@ impl RraDetector {
     /// [`RraDetector::search_model`] with the search spans grafted under
     /// `parent` in the recorder's span tree; `None` leaves `rra-outer` as
     /// a root span.
-    pub fn search_model_under(
+    pub(crate) fn search_model_under(
         &self,
         values: &[f64],
         model: &GrammarModel,
@@ -346,10 +369,12 @@ impl Detector for RraDetector {
     ) -> Result<Report> {
         check_k(self.k)?;
         let root = SpanTimer::start(&recorder, None, Stage::Detect);
-        let model = ws.build_model_under(&self.config, series.values(), &recorder, root.span())?;
-        let searched = self.search_model_under(series.values(), &model, ws, recorder, root.span());
-        let grammar_size = model.grammar.grammar_size();
-        ws.recycle_model(model);
+        let (searched, grammar_size) =
+            ws.with_model(&self.config, series, &recorder, root.span(), |model, ws| {
+                let searched =
+                    self.search_model_under(series.values(), model, ws, recorder, root.span());
+                (searched, model.grammar.grammar_size())
+            })?;
         root.finish(&recorder);
         let report = searched?;
         Ok(Report {
@@ -391,15 +416,15 @@ impl DensityDetector {
         self
     }
 
-    /// Runs the density stage against an already-built model (the sweep
-    /// builds one model and runs both detectors on it).
+    /// Runs the density stage against an already-built model, for callers
+    /// that build and keep the model themselves.
     pub fn report_model(&self, model: &GrammarModel, recorder: &dyn Recorder) -> DensityReport {
         self.report_model_under(model, recorder, None)
     }
 
     /// [`DensityDetector::report_model`] with the density span grafted
     /// under `parent` in the recorder's span tree.
-    pub fn report_model_under(
+    pub(crate) fn report_model_under(
         &self,
         model: &GrammarModel,
         recorder: &dyn Recorder,
@@ -426,11 +451,11 @@ impl Detector for DensityDetector {
     ) -> Result<Report> {
         check_k(self.k)?;
         let root = SpanTimer::start(&recorder, None, Stage::Detect);
-        let model = ws.build_model_under(&self.config, series.values(), &recorder, root.span())?;
-        let report = self.report_model_under(&model, recorder, root.span());
-        let grammar_size = model.grammar.grammar_size();
-        let num_candidates = model.series_len;
-        ws.recycle_model(model);
+        let (report, grammar_size, num_candidates) =
+            ws.with_model(&self.config, series, &recorder, root.span(), |model, _| {
+                let report = self.report_model_under(model, recorder, root.span());
+                (report, model.grammar.grammar_size(), model.series_len)
+            })?;
         root.finish(&recorder);
         let anomalies = report
             .anomalies
@@ -735,23 +760,158 @@ mod tests {
     #[test]
     fn workspace_reuse_across_detectors_is_stable() {
         let v = planted();
-        let series = SeriesView::new(&v);
         let config = PipelineConfig::new(100, 5, 4).unwrap();
         let rra = RraDetector::new(config.clone(), 1).with_engine(EngineConfig::sequential());
+        let density = DensityDetector::new(config, 1);
         let hotsax = HotSaxDetector::new(HotSaxConfig::new(100, 4, 4).unwrap(), 1);
         let mut ws = Workspace::new();
-        // Warm-up round of both detectors, then capacities must freeze.
-        let first = rra.detect(&series, &mut ws, &NoopRecorder).unwrap();
-        hotsax.detect(&series, &mut ws, &NoopRecorder).unwrap();
+        // One round: rra and density share a model through the slot, then
+        // hotsax; a fresh view per round makes the round's first detect a
+        // slot miss that recycles the held model's buffers.
+        let round = |ws: &mut Workspace| {
+            let series = SeriesView::new(&v);
+            let first = rra.detect(&series, ws, &NoopRecorder).unwrap();
+            density.detect(&series, ws, &NoopRecorder).unwrap();
+            hotsax.detect(&series, ws, &NoopRecorder).unwrap();
+            first
+        };
+        // Warm-up round, then capacities must freeze.
+        let first = round(&mut ws);
         let sig = ws.capacity_signature();
         for _ in 0..3 {
-            let again = rra.detect(&series, &mut ws, &NoopRecorder).unwrap();
-            hotsax.detect(&series, &mut ws, &NoopRecorder).unwrap();
+            let again = round(&mut ws);
             assert_eq!(
                 first.anomalies[0].score.to_bits(),
                 again.anomalies[0].score.to_bits()
             );
             assert_eq!(sig, ws.capacity_signature(), "workspace buffers grew");
+        }
+    }
+
+    /// Everything a report says, with scores as bits.
+    fn fingerprint(report: &Report) -> (Vec<(Interval, u64, usize)>, usize, usize, Vec<i64>) {
+        let anomalies = report
+            .anomalies
+            .iter()
+            .map(|a| (a.interval, a.score.to_bits(), a.rank))
+            .collect();
+        let curve = report.density().map_or(Vec::new(), |d| d.curve.clone());
+        (anomalies, report.num_candidates, report.grammar_size, curve)
+    }
+
+    /// `det` on `values` through a workspace of its own.
+    fn fresh(det: &dyn Detector, values: &[f64]) -> Report {
+        det.detect(
+            &SeriesView::new(values),
+            &mut Workspace::new(),
+            &NoopRecorder,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn series_view_ids_are_shared_by_copies_only() {
+        let v = planted();
+        let a = SeriesView::new(&v);
+        let copy = a;
+        assert_eq!(copy.id(), a.id());
+        let b = SeriesView::new(&v);
+        assert_ne!(a.id(), b.id(), "two constructions over one slice");
+        let c = SeriesView::try_new(&v).unwrap();
+        let d = SeriesView::from(v.as_slice());
+        let ids = [a.id(), b.id(), c.id(), d.id()];
+        for (i, x) in ids.iter().enumerate() {
+            assert!(ids[i + 1..].iter().all(|y| y != x), "{ids:?}");
+        }
+    }
+
+    #[test]
+    fn rra_then_density_on_one_view_builds_the_model_once() {
+        let v = planted();
+        let config = PipelineConfig::new(100, 5, 4).unwrap();
+        for threads in [1, 4] {
+            let rra = RraDetector::new(config.clone(), 2)
+                .with_engine(EngineConfig::sequential().with_threads(threads));
+            let density = DensityDetector::new(config.clone(), 2);
+            let rec = gv_obs::LocalRecorder::new();
+            let mut ws = Workspace::new();
+            let series = SeriesView::new(&v);
+            let r = rra.detect(&series, &mut ws, &rec).unwrap();
+            let d = density.detect(&series, &mut ws, &rec).unwrap();
+            assert_eq!(
+                rec.counter(Counter::WindowsProcessed),
+                (v.len() - 100 + 1) as u64,
+                "threads={threads}"
+            );
+            assert_eq!(rec.counter(Counter::ModelReuses), 1, "threads={threads}");
+            assert_eq!(fingerprint(&r), fingerprint(&fresh(&rra, &v)));
+            assert_eq!(fingerprint(&d), fingerprint(&fresh(&density, &v)));
+        }
+    }
+
+    #[test]
+    fn a_mutated_series_gets_a_new_view_and_a_new_model() {
+        let mut v = planted();
+        let density = DensityDetector::new(PipelineConfig::new(100, 5, 4).unwrap(), 2);
+        let rec = gv_obs::LocalRecorder::new();
+        let mut ws = Workspace::new();
+        let before = density.detect(&SeriesView::new(&v), &mut ws, &rec).unwrap();
+        // Same Vec, same address, same length — new values.
+        for (i, x) in v[300..380].iter_mut().enumerate() {
+            *x = 0.2 * (i as f64 / 3.0).sin();
+        }
+        let after = density.detect(&SeriesView::new(&v), &mut ws, &rec).unwrap();
+        assert_eq!(rec.counter(Counter::ModelReuses), 0);
+        assert_eq!(
+            rec.counter(Counter::WindowsProcessed),
+            2 * (v.len() - 100 + 1) as u64
+        );
+        assert_eq!(fingerprint(&after), fingerprint(&fresh(&density, &v)));
+        assert_ne!(fingerprint(&after), fingerprint(&before));
+    }
+
+    #[test]
+    fn every_model_field_is_in_the_slot_key_and_the_seed_is_not() {
+        use gv_sax::NumerosityReduction;
+        let v = planted();
+        let base = PipelineConfig::new(100, 5, 4).unwrap();
+        let variants = [
+            ("window", PipelineConfig::new(120, 5, 4).unwrap(), false),
+            ("paa", PipelineConfig::new(100, 6, 4).unwrap(), false),
+            ("alphabet", PipelineConfig::new(100, 5, 5).unwrap(), false),
+            ("znorm", base.clone().with_znorm_threshold(0.5), false),
+            (
+                "nr",
+                base.clone()
+                    .with_numerosity_reduction(NumerosityReduction::MinDist),
+                false,
+            ),
+            ("seed", base.clone().with_seed(99), true),
+        ];
+        for (name, config, reused) in variants {
+            let rec = gv_obs::LocalRecorder::new();
+            let mut ws = Workspace::new();
+            let series = SeriesView::new(&v);
+            DensityDetector::new(base.clone(), 2)
+                .detect(&series, &mut ws, &rec)
+                .unwrap();
+            let rra = RraDetector::new(config.clone(), 2).with_engine(EngineConfig::sequential());
+            let r = rra.detect(&series, &mut ws, &rec).unwrap();
+            let density = DensityDetector::new(config.clone(), 2);
+            let d = density.detect(&series, &mut ws, &rec).unwrap();
+            let windows = |w: usize| (v.len() - w + 1) as u64;
+            let built = if reused {
+                windows(100)
+            } else {
+                windows(100) + windows(config.window())
+            };
+            assert_eq!(rec.counter(Counter::WindowsProcessed), built, "{name}");
+            // RRA rebuilds (or reuses, for the seed); density then reuses
+            // RRA's model.
+            let reuses = if reused { 2 } else { 1 };
+            assert_eq!(rec.counter(Counter::ModelReuses), reuses, "{name}");
+            assert_eq!(fingerprint(&r), fingerprint(&fresh(&rra, &v)), "{name}");
+            assert_eq!(fingerprint(&d), fingerprint(&fresh(&density, &v)), "{name}");
         }
     }
 }

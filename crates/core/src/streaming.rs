@@ -1029,20 +1029,30 @@ mod tests {
 
     #[test]
     fn capacity_signature_freezes_on_long_stream() {
-        // Satellite regression: unbounded streaming within a fixed horizon
-        // must stop allocating — every internal buffer's capacity freezes
-        // after warmup, across 100k points.
+        // Streaming within a fixed horizon must stop allocating — every
+        // internal buffer's capacity freezes after warmup, across 100k
+        // points, with periodic rra + density rounds through the
+        // workspace's model slot. Each `detect` views the horizon afresh,
+        // so each is a slot miss that recycles the held model's buffers.
+        use crate::engine::{DensityDetector, EngineConfig, RraDetector};
         let config = PipelineConfig::new(50, 4, 4).unwrap();
+        let rra = RraDetector::new(config.clone(), 1).with_engine(EngineConfig::sequential());
+        let density = DensityDetector::new(config.clone(), 1);
         let mut det = StreamingDetector::new(config).with_horizon(2048);
         let signal = |i: usize| (i as f64 / 12.0).sin() + 0.2 * (i as f64 / 71.0).cos();
+        let feed = |det: &mut StreamingDetector, range: std::ops::Range<usize>| {
+            for i in range {
+                det.push(signal(i)).unwrap();
+                if (i + 1) % 5_000 == 0 {
+                    det.detect(&rra).unwrap();
+                    det.detect(&density).unwrap();
+                }
+            }
+        };
         let warmup = 30_000usize;
-        for i in 0..warmup {
-            det.push(signal(i)).unwrap();
-        }
+        feed(&mut det, 0..warmup);
         let sig = det.capacity_signature();
-        for i in warmup..100_000 {
-            det.push(signal(i)).unwrap();
-        }
+        feed(&mut det, warmup..100_000);
         assert_eq!(
             sig,
             det.capacity_signature(),

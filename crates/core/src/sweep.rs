@@ -14,7 +14,7 @@ use gv_timeseries::Interval;
 use serde::{Deserialize, Serialize};
 
 use crate::config::PipelineConfig;
-use crate::engine::{DensityDetector, EngineConfig, RraDetector};
+use crate::engine::{DensityDetector, Detector, EngineConfig, RraDetector, SeriesView};
 use crate::error::Result;
 use crate::workspace::Workspace;
 
@@ -220,33 +220,34 @@ fn evaluate_one<R: Recorder>(
     // (and counter totals) stay identical whatever the worker count and
     // whatever `GV_THREADS` says, and workers never nest thread pools.
     let config = PipelineConfig::new(w, p, a)?.with_seed(0);
-    let model = ws.build_model(&config, values, recorder)?;
+    let series = SeriesView::new(values);
 
     // Edge trim 0: the sweep scores raw hits, boundary minima included.
-    let density_detector = DensityDetector::new(config.clone(), 1).with_trim_edge(0);
-    let density_hit = density_detector
-        .report_model(&model, recorder)
+    let density = DensityDetector::new(config.clone(), 1)
+        .with_trim_edge(0)
+        .detect(&series, ws, recorder)?;
+    let density_hit = density
         .anomalies
         .first()
         .is_some_and(|an| an.interval.overlaps(&wide_truth));
 
+    // Same view, same model configuration: RRA reuses the density
+    // detector's model from the workspace slot.
     let rra_detector = RraDetector::new(config, 1).with_engine(EngineConfig::sequential());
-    let rra_hit = match rra_detector.search_model(values, &model, ws, recorder) {
+    let rra_hit = match rra_detector.detect(&series, ws, recorder) {
         Ok(report) => report
-            .discords
+            .anomalies
             .first()
-            .is_some_and(|d| d.interval().overlaps(&wide_truth)),
+            .is_some_and(|an| an.interval.overlaps(&wide_truth)),
         Err(_) => false,
     };
 
-    let grammar_size = model.grammar.grammar_size();
-    ws.recycle_model(model);
     Ok(SweepPoint {
         window: w,
         paa: p,
         alphabet: a,
         approximation_distance: reconstruction_error(values, w, p),
-        grammar_size,
+        grammar_size: density.grammar_size,
         density_hit,
         rra_hit,
     })

@@ -9,19 +9,47 @@
 //! largest series seen; [`Workspace::capacity_signature`] exposes the
 //! buffer capacities so tests can assert that stability.
 //!
-//! Outputs (the [`GrammarModel`], reports, discord lists) still allocate —
-//! they outlive the call by design. Model building *round-trips* its two
-//! big buffers through the workspace: [`Workspace::build_model`] moves the
-//! record list and dictionary into the returned model, and
-//! [`Workspace::recycle_model`] takes them back (cleared, capacity
-//! retained) when a detector is done with the model.
-
+//! Outputs (reports, discord lists) still allocate — they outlive the
+//! call by design. Model building *round-trips* its two big buffers
+//! through the workspace: [`Workspace::build_model`] moves the record list
+//! and dictionary into the returned model, and [`Workspace::recycle_model`]
+//! takes them back (cleared, capacity retained) when a caller is done
+//! with the model.
+//!
+//! ## The model slot
+//!
+//! The grammar detectors do not hand their model back: they leave it in
+//! the workspace's one model slot, keyed by the [`SeriesView`] id plus
+//! every configuration field the model depends on — W, P, A, the z-norm
+//! threshold (its bits) and the numerosity reduction. The RRA seed is not
+//! in the key; it orders the search, not the model. When a second
+//! detector runs on the same view with the same model configuration (RRA
+//! then density, as the paper runs both §4 detectors on one grammar), it
+//! reuses the held model ([`Counter::ModelReuses`]) instead of
+//! discretizing and inducing the series again. On a miss the held model's
+//! record list and dictionary are recycled exactly as
+//! [`Workspace::recycle_model`] does, and the new model is built.
+//!
+//! The key is exact without hashing or copying the series. A view borrows
+//! its slice immutably for its whole lifetime, and every construction
+//! mints a fresh id from one process-wide counter, so one id names one
+//! unchanged series: a view over the same `Vec` after a mutation is a new
+//! construction with a new id, and an id outlives its view only inside
+//! the slot, where no later view can match it. A digest of the values
+//! would admit collisions (two series, one key, a stale model); keeping a
+//! copy to compare against would cost a second copy of every input (0.76
+//! MiB on a 100k-point series). The id counter is global state, but it
+//! cannot reach a result: a hit returns the model a miss would rebuild,
+//! bit for bit, because model building is a pure function of the key's
+//! fields and the borrowed values. Only the `model_reuses` counter and
+//! the time spent differ.
 use gv_discord::HotSaxScratch;
 use gv_obs::{Counter, Recorder, SpanId, SpanTimer, Stage};
-use gv_sax::{SaxDictionary, SaxRecord};
+use gv_sax::{NumerosityReduction, SaxDictionary, SaxRecord};
 use gv_sequitur::Sequitur;
 
 use crate::config::PipelineConfig;
+use crate::engine::SeriesView;
 use crate::error::Result;
 use crate::intervals::RuleInterval;
 use crate::model::GrammarModel;
@@ -42,6 +70,33 @@ pub struct Workspace {
     // Baselines.
     pub(crate) normed: Vec<f64>,
     pub(crate) hotsax: HotSaxScratch,
+    // The last model a grammar detector built, and what it was built from.
+    slot: Option<(ModelKey, GrammarModel)>,
+}
+
+/// What a slot model was built from: the view it read and every
+/// configuration field the model depends on (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ModelKey {
+    view: u64,
+    window: usize,
+    paa: usize,
+    alphabet: usize,
+    znorm_threshold_bits: u64,
+    nr: NumerosityReduction,
+}
+
+impl ModelKey {
+    fn new(config: &PipelineConfig, series: &SeriesView<'_>) -> Self {
+        Self {
+            view: series.id(),
+            window: config.window(),
+            paa: config.paa(),
+            alphabet: config.alphabet(),
+            znorm_threshold_bits: config.sax().znorm_threshold().to_bits(),
+            nr: config.numerosity_reduction(),
+        }
+    }
 }
 
 impl Workspace {
@@ -70,7 +125,7 @@ impl Workspace {
     /// [`Workspace::build_model`] with the three model stages recorded as
     /// span-tree children of `parent` (the detector's `detect` root);
     /// `None` leaves them as root spans.
-    pub fn build_model_under<R: Recorder>(
+    pub(crate) fn build_model_under<R: Recorder>(
         &mut self,
         config: &PipelineConfig,
         values: &[f64],
@@ -129,6 +184,40 @@ impl Workspace {
         self.dictionary.clear();
     }
 
+    /// Runs `f` on the model of `series` under `config`: the slot's model
+    /// when it was built from the same view and model configuration
+    /// (counting one [`Counter::ModelReuses`]), otherwise a fresh build
+    /// recorded under `parent`, after recycling the held model's buffers.
+    /// The model goes back into the slot when `f` returns.
+    ///
+    /// # Errors
+    /// Those of [`Workspace::build_model`], on a miss.
+    pub(crate) fn with_model<R: Recorder, T>(
+        &mut self,
+        config: &PipelineConfig,
+        series: &SeriesView<'_>,
+        recorder: &R,
+        parent: Option<SpanId>,
+        f: impl FnOnce(&GrammarModel, &mut Workspace) -> T,
+    ) -> Result<T> {
+        let key = ModelKey::new(config, series);
+        let model = match self.slot.take() {
+            Some((held, model)) if held == key => {
+                recorder.incr(Counter::ModelReuses);
+                model
+            }
+            stale => {
+                if let Some((_, model)) = stale {
+                    self.recycle_model(model);
+                }
+                self.build_model_under(config, series.values(), recorder, parent)?
+            }
+        };
+        let out = f(&model, self);
+        self.slot = Some((key, model));
+        Ok(out)
+    }
+
     /// Capacities of every workspace-owned buffer, in a fixed order, for
     /// allocation-stability assertions: after a warm-up call, repeated
     /// detection on same-shaped input must leave this signature unchanged.
@@ -142,6 +231,9 @@ impl Workspace {
             self.candidates.capacity(),
             self.normed.capacity(),
         ];
+        let held = self.slot.as_ref().map(|(_, model)| model);
+        sig.push(held.map_or(0, |m| m.records.capacity()));
+        sig.push(held.map_or(0, |m| m.dictionary.capacity()));
         sig.extend(self.rra.capacity_signature());
         sig.extend(self.hotsax.capacities());
         sig

@@ -123,11 +123,15 @@ pub enum Counter {
     /// state an earlier rank left behind (a prune point or a finished
     /// scan) instead of starting it over.
     RraScansResumed,
+    /// Detections served by the model a workspace already held for the
+    /// same series view and model configuration, instead of discretizing
+    /// and inducing again.
+    ModelReuses,
 }
 
 impl Counter {
     /// Number of counters (array dimension for recorders).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 18;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -148,6 +152,7 @@ impl Counter {
         Counter::DensityRecounts,
         Counter::SaxFallbacks,
         Counter::RraScansResumed,
+        Counter::ModelReuses,
     ];
 
     /// Dense index (0-based).
@@ -176,6 +181,7 @@ impl Counter {
             Counter::DensityRecounts => "density_recounts",
             Counter::SaxFallbacks => "sax_fallbacks",
             Counter::RraScansResumed => "rra_scans_resumed",
+            Counter::ModelReuses => "model_reuses",
         }
     }
 

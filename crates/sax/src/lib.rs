@@ -51,6 +51,6 @@ pub use dictionary::SaxDictionary;
 pub use discretize::{sax_by_chunking, NumerosityReduction, SaxConfig, SaxRecord};
 pub use error::{Error, Result};
 pub use incremental::IncrementalDiscretizer;
-pub use mindist::{mindist, mindist_is_zero, symbols_mindist_is_zero};
+pub use mindist::{mindist, symbols_mindist_is_zero};
 pub use paa::{paa, paa_into, reconstruction_error};
 pub use word::SaxWord;

@@ -29,16 +29,12 @@ pub fn mindist(a: &SaxWord, b: &SaxWord, alphabet: &Alphabet, n: usize) -> f64 {
     ((n as f64) / (w as f64)).sqrt() * sum_sq.sqrt()
 }
 
-/// `true` when `MINDIST == 0`, i.e. every symbol pair is identical or
-/// adjacent. Cheaper than [`mindist`] (no float math) and exactly the test
-/// used by the MINDIST numerosity-reduction strategy.
-pub fn mindist_is_zero(a: &SaxWord, b: &SaxWord) -> bool {
-    symbols_mindist_is_zero(a.symbols(), b.symbols())
-}
-
-/// Raw-symbol-slice form of [`mindist_is_zero`], for streaming callers
-/// comparing a scratch-buffer candidate against the last kept word without
-/// boxing it into a [`SaxWord`] first.
+/// `true` when `MINDIST == 0` between two symbol slices, i.e. they have
+/// equal length and every symbol pair is identical or adjacent. Cheaper
+/// than [`mindist`] (no float math) and exactly the test used by the
+/// MINDIST numerosity-reduction strategy; it takes raw symbols so callers
+/// can compare a scratch-buffer candidate against the last kept word
+/// without boxing it into a [`SaxWord`] first.
 pub fn symbols_mindist_is_zero(a: &[u8], b: &[u8]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x.abs_diff(y) <= 1)
 }
@@ -61,7 +57,10 @@ mod tests {
     fn adjacent_symbols_have_zero_mindist() {
         let a4 = Alphabet::new(4).unwrap();
         assert_eq!(mindist(&w("abba"), &w("babb"), &a4, 16), 0.0);
-        assert!(mindist_is_zero(&w("abba"), &w("babb")));
+        assert!(symbols_mindist_is_zero(
+            w("abba").symbols(),
+            w("babb").symbols()
+        ));
     }
 
     #[test]
@@ -71,7 +70,7 @@ mod tests {
         let d = mindist(&w("a"), &w("c"), &a4, 4);
         let expected = (4.0f64 / 1.0).sqrt() * 0.6745;
         assert!((d - expected).abs() < 0.01, "{d} vs {expected}");
-        assert!(!mindist_is_zero(&w("a"), &w("c")));
+        assert!(!symbols_mindist_is_zero(w("a").symbols(), w("c").symbols()));
     }
 
     #[test]
@@ -94,12 +93,15 @@ mod tests {
     fn empty_words() {
         let a3 = Alphabet::new(3).unwrap();
         assert_eq!(mindist(&w(""), &w(""), &a3, 10), 0.0);
-        assert!(mindist_is_zero(&w(""), &w("")));
+        assert!(symbols_mindist_is_zero(w("").symbols(), w("").symbols()));
     }
 
     #[test]
     fn length_mismatch_in_is_zero() {
-        assert!(!mindist_is_zero(&w("ab"), &w("abc")));
+        assert!(!symbols_mindist_is_zero(
+            w("ab").symbols(),
+            w("abc").symbols()
+        ));
     }
 
     #[test]

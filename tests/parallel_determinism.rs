@@ -190,11 +190,16 @@ fn workspace_capacities_freeze_after_warmup() {
     let config = PipelineConfig::new(100, 5, 4).unwrap();
     let detector = RraDetector::new(config, 2).with_engine(EngineConfig::sequential());
     let mut ws = Workspace::new();
-    let series = SeriesView::new(&v);
-    let first = detector.detect(&series, &mut ws, &NoopRecorder).unwrap();
+    // A fresh view per call: the same view would be a model-slot hit and
+    // skip the model build whose buffers this test freezes.
+    let first = detector
+        .detect(&SeriesView::new(&v), &mut ws, &NoopRecorder)
+        .unwrap();
     let sig = ws.capacity_signature();
     for _ in 0..3 {
-        let again = detector.detect(&series, &mut ws, &NoopRecorder).unwrap();
+        let again = detector
+            .detect(&SeriesView::new(&v), &mut ws, &NoopRecorder)
+            .unwrap();
         assert_eq!(
             first.anomalies[0].score.to_bits(),
             again.anomalies[0].score.to_bits()
