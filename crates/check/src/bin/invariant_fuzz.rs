@@ -4,7 +4,8 @@
 //! pipeline and every `gv-check` checker, plus a brute-force-vs-HOTSAX
 //! differential, the streaming differential (a bounded-horizon
 //! incremental engine vs a from-scratch batch run on its retained slice,
-//! at a randomized horizon that mixes evicting and non-evicting runs),
+//! at a randomized horizon that mixes evicting and non-evicting runs,
+//! under each of the three numerosity reductions),
 //! and the error-path contracts (non-finite rejection,
 //! shorter-than-window rejection, streaming push rejection). The PRNG is
 //! the vendored xoshiro256++, so a given `--seed` reproduces the exact
@@ -26,6 +27,7 @@ use std::process::ExitCode;
 use gv_check::{check_sax_records, check_series, check_streaming};
 use gv_discord::HotSaxConfig;
 use gv_obs::{Counter, LocalRecorder, NoopRecorder};
+use gv_sax::NumerosityReduction;
 use gva_core::{
     engine::THREADS_ENV, BruteForceDetector, Detector, Error, HotSaxDetector, PipelineConfig,
     SeriesView, StreamingDetector, Workspace,
@@ -295,20 +297,29 @@ fn fuzz_valid(
     if let Some(v) = baseline_differential(values, config, k, ws) {
         tally.violations.push(format!("series {i}: {v}"));
     }
-    match check_streaming(values, config, k, threads, horizon) {
-        Ok(report) => {
-            if !report.passed() {
-                tally.violations.push(format!(
-                    "series {i} (len {}, window {}, k {k}, horizon {horizon}):\n{}",
-                    values.len(),
-                    config.window(),
-                    report.render()
-                ));
+    // The configured (default `Exact`) reduction first, then the other
+    // two: the stream's detect takes the retained words under all three.
+    let reductions = [NumerosityReduction::None, NumerosityReduction::MinDist];
+    let configs = std::iter::once(config.clone())
+        .chain(reductions.map(|nr| config.clone().with_numerosity_reduction(nr)));
+    for config in configs {
+        let nr = config.numerosity_reduction();
+        match check_streaming(values, &config, k, threads, horizon) {
+            Ok(report) => {
+                if !report.passed() {
+                    tally.violations.push(format!(
+                        "series {i} (len {}, window {}, k {k}, horizon {horizon}, {nr:?}):\n{}",
+                        values.len(),
+                        config.window(),
+                        report.render()
+                    ));
+                }
             }
+            Err(e) => tally.violations.push(format!(
+                "series {i}: streaming engine refused a valid series at horizon \
+                 {horizon} under {nr:?}: {e}"
+            )),
         }
-        Err(e) => tally.violations.push(format!(
-            "series {i}: streaming engine refused a valid series at horizon {horizon}: {e}"
-        )),
     }
 }
 

@@ -47,8 +47,8 @@ pub use streaming::check_streaming;
 use gv_discord::DiscordRecord;
 use gv_obs::NoopRecorder;
 use gva_core::{
-    reference_nn, reference_rank, rule_intervals, Detector, EngineConfig, GrammarModel,
-    PipelineConfig, RraDetector, RraReport, RuleInterval, SeriesView, Workspace,
+    reference_nn, reference_rank, rule_intervals, EngineConfig, GrammarModel, PipelineConfig,
+    RraDetector, RraReport, RuleInterval, Workspace,
 };
 
 /// Outcome of one invariant check.
@@ -377,20 +377,21 @@ pub fn check_series(
         .results
         .push(check_density_recount(&model, curve.curve()));
 
+    // Both searches run on the model the checks above read; a detect
+    // would only build the same model again.
     let candidates = engine_candidates(&model);
-    let series = SeriesView::new(values);
-    let detector = RraDetector::new(config.clone(), k)
-        .with_engine(EngineConfig::sequential().with_threads(threads));
-    let rra = detector.detect(&series, &mut ws, &NoopRecorder)?.to_rra();
+    let search = |engine: EngineConfig, ws: &mut Workspace| {
+        RraDetector::new(config.clone(), k)
+            .with_engine(engine)
+            .search_model(values, &model, ws, &NoopRecorder)
+    };
+    let rra = search(EngineConfig::sequential().with_threads(threads), &mut ws)?;
     report
         .results
         .push(check_rra_against_brute_force(values, &candidates, &rra, k));
 
     if threads > 1 {
-        let sequential = RraDetector::new(config.clone(), k)
-            .with_engine(EngineConfig::sequential())
-            .detect(&series, &mut ws, &NoopRecorder)?
-            .to_rra();
+        let sequential = search(EngineConfig::sequential(), &mut ws)?;
         let mut determinism = CheckResult::pass("parallel search is bit-identical to sequential");
         if sequential.discords.len() != rra.discords.len() {
             determinism.violations.push(format!(
@@ -417,6 +418,7 @@ pub fn check_series(
         }
         report.results.push(determinism);
     }
+    ws.recycle_model(model);
     Ok(report)
 }
 
@@ -435,6 +437,7 @@ fn interned_tokens(model: &GrammarModel) -> Vec<u32> {
 mod tests {
     use super::*;
     use gv_obs::NoopRecorder;
+    use gva_core::{Detector, SeriesView};
 
     fn planted() -> Vec<f64> {
         let mut v: Vec<f64> = (0..2000).map(|i| (i as f64 / 16.0).sin()).collect();

@@ -18,11 +18,17 @@
 //!   invariant, `R0` still round-trips the retained token suffix, and
 //!   every occurrence still maps into bounds.
 //!
-//! Words are deliberately *not* compared against a re-discretization of
-//! the slice: batch discretization keeps the first window of a series
-//! unconditionally, so the numerosity-reduction state at the horizon
-//! boundary legitimately differs. The grammar-level round-trip above is
-//! the correct (and stricter) check.
+//! The detect does not re-discretize the slice: it discretizes the
+//! slice's first window and takes every later word from the engine's
+//! retained records. Under `Exact` and `None` numerosity reduction that
+//! is exact at any horizon, because whether a window is kept there
+//! depends only on its own word and the previous window's. Under
+//! `MinDist` a keep depends on the last *kept* word, which eviction can
+//! change, so a `MinDist` engine that has evicted discretizes the whole
+//! slice. A wrong word or a wrong keep changes the model: the discord
+//! comparison sees it whenever it moves a discord, and a proptest in
+//! gv-core holds the model itself to the batch model bit for bit. The
+//! fuzz driver runs this check under all three reductions.
 
 use gv_obs::NoopRecorder;
 use gva_core::{

@@ -19,12 +19,14 @@
 //! variable (missing or invalid → 1), which is how CI runs the whole
 //! suite both sequentially and parallel.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gv_discord::{
     brute_force_discords_in, hotsax_discords_in, DiscordRecord, HotSaxConfig, SearchStats,
 };
 use gv_obs::{Counter, Recorder, SpanId, SpanTimer, Stage};
+use gv_sax::SaxRecord;
 use gv_timeseries::Interval;
 
 use crate::config::PipelineConfig;
@@ -98,6 +100,34 @@ static NEXT_VIEW_ID: AtomicU64 = AtomicU64::new(0);
 pub struct SeriesView<'a> {
     values: &'a [f64],
     id: u64,
+    words: Option<Discretized<'a>>,
+}
+
+/// Kept SAX records of a view's values that a model build may take
+/// instead of discretizing them: the streaming detector's records over
+/// its horizon (see [`Workspace`]'s module docs for when they are exact).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Discretized<'a> {
+    /// The configuration the records were discretized under.
+    pub(crate) config: &'a PipelineConfig,
+    /// Kept records in offset order, offsets absolute.
+    pub(crate) records: &'a VecDeque<SaxRecord>,
+    /// Absolute offset of the view's first value.
+    pub(crate) origin: usize,
+}
+
+impl Discretized<'_> {
+    /// The records after the view's first window, rebased to the view.
+    pub(crate) fn after_first(&self) -> impl Iterator<Item = SaxRecord> + '_ {
+        let origin = self.origin;
+        self.records
+            .iter()
+            .skip_while(move |rec| rec.offset <= origin)
+            .map(move |rec| SaxRecord {
+                word: rec.word.clone(),
+                offset: rec.offset - origin,
+            })
+    }
 }
 
 impl<'a> SeriesView<'a> {
@@ -110,6 +140,15 @@ impl<'a> SeriesView<'a> {
         Self {
             values,
             id: NEXT_VIEW_ID.fetch_add(1, Ordering::Relaxed),
+            words: None,
+        }
+    }
+
+    /// A view that also carries `words`, the kept records of `values`.
+    pub(crate) fn with_words(values: &'a [f64], words: Discretized<'a>) -> Self {
+        Self {
+            words: Some(words),
+            ..Self::new(values)
         }
     }
 
@@ -131,6 +170,11 @@ impl<'a> SeriesView<'a> {
     /// constructions (even over the same slice).
     pub(crate) fn id(&self) -> u64 {
         self.id
+    }
+
+    /// The kept records this view carries, if any.
+    pub(crate) fn words(&self) -> Option<Discretized<'a>> {
+        self.words
     }
 
     /// Series length.
@@ -591,7 +635,7 @@ fn publish_stats(recorder: &dyn Recorder, stats: &SearchStats) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gv_obs::NoopRecorder;
 
@@ -788,8 +832,12 @@ mod tests {
         }
     }
 
+    /// Ranked (interval, score bits, rank), candidates, grammar size and
+    /// density curve.
+    pub(crate) type Fingerprint = (Vec<(Interval, u64, usize)>, usize, usize, Vec<i64>);
+
     /// Everything a report says, with scores as bits.
-    fn fingerprint(report: &Report) -> (Vec<(Interval, u64, usize)>, usize, usize, Vec<i64>) {
+    pub(crate) fn fingerprint(report: &Report) -> Fingerprint {
         let anomalies = report
             .anomalies
             .iter()

@@ -158,7 +158,7 @@ impl AnomalyPipeline {
         let local = LocalRecorder::new();
         let mut ws = Workspace::new();
         let root = SpanTimer::start(&local, None, Stage::Detect);
-        let model = ws.build_model_under(&self.config, values, &local, root.span())?;
+        let model = ws.build_model_under(&self.config, values, None, &local, root.span())?;
         let detector = RraDetector::new(self.config.clone(), k).with_engine(self.engine);
         let report = detector.search_model_under(values, &model, &mut ws, &local, root.span())?;
         root.finish(&local);

@@ -27,7 +27,8 @@
 //!   [`Counter::DensityRecounts`]);
 //! * [`detect`](StreamingDetector::detect) dispatches over the horizon
 //!   view only, so a from-scratch batch run over the same slice produces
-//!   bit-identical discords.
+//!   bit-identical discords; it takes the slice's words from the retained
+//!   records instead of discretizing the horizon again.
 //!
 //! A caveat the batch pipeline doesn't have: the most recent points are
 //! always under-covered (rules that will eventually span them haven't had
@@ -41,13 +42,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gv_obs::{time_stage, Counter, Event, EventKind, NoopRecorder, PipelineTrace, Recorder, Stage};
-use gv_sax::{IncrementalDiscretizer, SaxDictionary, SaxRecord, SaxWord};
+use gv_sax::{IncrementalDiscretizer, NumerosityReduction, SaxDictionary, SaxRecord, SaxWord};
 use gv_sequitur::Sequitur;
 use gv_timeseries::{CoverageCounter, Interval};
 
 use crate::config::PipelineConfig;
 use crate::density::RuleDensity;
-use crate::engine::{Detector, Report, SeriesView};
+use crate::engine::{Detector, Discretized, Report, SeriesView};
 use crate::error::Result;
 use crate::model::GrammarModel;
 use crate::workspace::Workspace;
@@ -519,6 +520,20 @@ impl<R: Recorder> StreamingDetector<R> {
     /// re-detection stops allocating once the buffers have warmed up;
     /// instrumentation goes to the stream's own recorder.
     ///
+    /// The horizon is not discretized again. A grammar detector with the
+    /// stream's model configuration discretizes the horizon's first
+    /// window and takes the words of every later window from the
+    /// retained records, so the detect counts one
+    /// [`Counter::WindowsProcessed`]; interning and induction still run
+    /// afresh, because after eviction the live grammar is not the batch
+    /// grammar of the slice. Under `Exact` and `None`
+    /// numerosity reduction the records after the first window are the
+    /// batch records of the slice at any horizon. Under `MinDist` a keep
+    /// depends on the last kept word, which eviction can leave different
+    /// from the slice's, so once the horizon has evicted a `MinDist`
+    /// stream discretizes the whole horizon (`n − W + 1` windows). Other
+    /// detectors never read the records.
+    ///
     /// This is the §7 "online RRA" shape: the incremental grammar answers
     /// the cheap density question continuously
     /// ([`alerts`](StreamingDetector::alerts)), and this method runs the
@@ -529,11 +544,20 @@ impl<R: Recorder> StreamingDetector<R> {
     /// Whatever the detector reports (series still shorter than the
     /// window, no candidates, …).
     pub fn detect(&mut self, detector: &dyn Detector) -> Result<Report> {
-        detector.detect(
-            &SeriesView::new(self.values.as_slice()),
-            &mut self.workspace,
-            &self.recorder,
-        )
+        let values = self.values.as_slice();
+        let origin = self.horizon_start();
+        let series =
+            if origin == 0 || self.config.numerosity_reduction() != NumerosityReduction::MinDist {
+                let words = Discretized {
+                    config: &self.config,
+                    records: &self.records,
+                    origin,
+                };
+                SeriesView::with_words(values, words)
+            } else {
+                SeriesView::new(values)
+            };
+        detector.detect(&series, &mut self.workspace, &self.recorder)
     }
 
     /// Early-detection alerts: maximal runs of points whose density is
@@ -1195,8 +1219,99 @@ mod tests {
         runs
     }
 
+    /// Point `i` of a `len`-point stream from one of three families:
+    /// flat stretches (`0`), quantized steps (`1`), or a planted anomaly
+    /// mid-stream (`2`).
+    fn family_signal(family: usize, len: usize, i: usize) -> f64 {
+        let base = (i as f64 / 11.0).sin() + 0.4 * (i as f64 / 37.0).cos();
+        match family {
+            0 if (i / 300) % 4 == 1 => 0.0,
+            1 => (base * 3.0).round() / 3.0,
+            2 if (len / 2..len / 2 + 70).contains(&i) => 0.02 * i as f64 % 1.7,
+            _ => base,
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Detect exactness: at random detect points of a random stream
+        /// (random window, horizon with `0` = unbounded, and numerosity
+        /// reduction), the model a stream detect consumes equals the
+        /// batch model of the retained slice bit for bit, RRA and density
+        /// reports equal fresh-workspace batch runs, and the detect
+        /// discretizes one window wherever it takes the retained records
+        /// — the whole horizon only for `MinDist` after eviction.
+        #[test]
+        fn detect_model_equals_batch_model_of_the_horizon(
+            family in 0usize..3,
+            nr in 0usize..3,
+            window in 16usize..40,
+            horizon_windows in 0usize..24,
+            len in 600usize..2400,
+            detect_gap in 150usize..600,
+        ) {
+            use crate::engine::tests::fingerprint;
+            use crate::engine::{DensityDetector, EngineConfig, RraDetector};
+            use gv_obs::LocalRecorder;
+            let nr = [
+                NumerosityReduction::None,
+                NumerosityReduction::Exact,
+                NumerosityReduction::MinDist,
+            ][nr];
+            let config = PipelineConfig::new(window, 4, 4)
+                .unwrap()
+                .with_numerosity_reduction(nr);
+            // One in twelve cases runs unbounded (horizon 0).
+            let horizon = if horizon_windows < 2 { 0 } else { horizon_windows * window };
+            let mut det = StreamingDetector::with_recorder(config.clone(), LocalRecorder::new())
+                .with_horizon(horizon);
+            let rra = RraDetector::new(config.clone(), 2).with_engine(EngineConfig::sequential());
+            let density = DensityDetector::new(config.clone(), 2);
+            // A report as its fingerprint plus the search cost, a refusal
+            // as its message.
+            let bits = |report: Result<Report>| {
+                report
+                    .map(|r| (fingerprint(&r), r.stats))
+                    .map_err(|e| e.to_string())
+            };
+            for i in 0..len {
+                det.push(family_signal(family, len, i)).unwrap();
+                if (i + 1) % detect_gap != 0 && i + 1 != len {
+                    continue;
+                }
+                let values = det.values().to_vec();
+                let reuses = nr != NumerosityReduction::MinDist || det.horizon_start() == 0;
+                let windows = if reuses { 1 } else { values.len() - window + 1 };
+                let batch_model = Workspace::new()
+                    .build_model(&config, &values, &NoopRecorder)
+                    .unwrap();
+                for detector in [&rra as &dyn Detector, &density] {
+                    let before = det.recorder().counter(Counter::WindowsProcessed);
+                    let online = det.detect(detector);
+                    let processed = det.recorder().counter(Counter::WindowsProcessed) - before;
+                    proptest::prop_assert_eq!(processed, windows as u64, "windows at point {}", i);
+                    let held = det.workspace.held_model().unwrap();
+                    proptest::prop_assert_eq!(&held.records, &batch_model.records);
+                    proptest::prop_assert!(held.dictionary.iter().eq(batch_model.dictionary.iter()));
+                    proptest::prop_assert!(held.grammar.rules().eq(batch_model.grammar.rules()));
+                    proptest::prop_assert_eq!(
+                        (held.series_len, held.window),
+                        (batch_model.series_len, batch_model.window)
+                    );
+                    let batch = detector.detect(
+                        &SeriesView::new(&values),
+                        &mut Workspace::new(),
+                        &NoopRecorder,
+                    );
+                    proptest::prop_assert_eq!(
+                        bits(online),
+                        bits(batch),
+                        "{} at point {}", detector.name(), i
+                    );
+                }
+            }
+        }
 
         /// Mid-stream differential: at random read points of a random
         /// stream (flat stretches, quantized steps, or a planted anomaly;
@@ -1213,22 +1328,13 @@ mod tests {
             threshold in 0i64..3,
             maturity in 0usize..200,
         ) {
-            let signal = |i: usize| -> f64 {
-                let base = (i as f64 / 11.0).sin() + 0.4 * (i as f64 / 37.0).cos();
-                match family {
-                    0 if (i / 300) % 4 == 1 => 0.0,
-                    1 => (base * 3.0).round() / 3.0,
-                    2 if (len / 2..len / 2 + 70).contains(&i) => 0.02 * i as f64 % 1.7,
-                    _ => base,
-                }
-            };
             let config = PipelineConfig::new(window, 4, 4).unwrap();
             // One in twelve cases runs unbounded (horizon 0).
             let horizon = if horizon_windows < 2 { 0 } else { horizon_windows * window };
             let mut det = StreamingDetector::new(config).with_horizon(horizon);
             let mut reads = 0;
             for i in 0..len {
-                det.push(signal(i)).unwrap();
+                det.push(family_signal(family, len, i)).unwrap();
                 if (i + 1) % read_gap == 0 || i + 1 == len {
                     reads += 1;
                     let curve = det.density_curve();

@@ -30,6 +30,16 @@
 //! record list and dictionary are recycled exactly as
 //! [`Workspace::recycle_model`] does, and the new model is built.
 //!
+//! A view may carry the kept SAX records of its values: the streaming
+//! detector's horizon view does, because its pushes already discretized
+//! every window. When the records were made under the detector's model
+//! configuration, the miss path discretizes only the first window and
+//! appends the carried records after it; intern and induce run as
+//! always. The records are exact for `Exact` and `None` numerosity
+//! reduction, and for `MinDist` while nothing has been evicted; the
+//! stream attaches them only then (see
+//! [`StreamingDetector::detect`](crate::StreamingDetector::detect)).
+//!
 //! The key is exact without hashing or copying the series. A view borrows
 //! its slice immutably for its whole lifetime, and every construction
 //! mints a fresh id from one process-wide counter, so one id names one
@@ -49,7 +59,7 @@ use gv_sax::{NumerosityReduction, SaxDictionary, SaxRecord};
 use gv_sequitur::Sequitur;
 
 use crate::config::PipelineConfig;
-use crate::engine::SeriesView;
+use crate::engine::{Discretized, SeriesView};
 use crate::error::Result;
 use crate::intervals::RuleInterval;
 use crate::model::GrammarModel;
@@ -119,16 +129,20 @@ impl Workspace {
         values: &[f64],
         recorder: &R,
     ) -> Result<GrammarModel> {
-        self.build_model_under(config, values, recorder, None)
+        self.build_model_under(config, values, None, recorder, None)
     }
 
     /// [`Workspace::build_model`] with the three model stages recorded as
     /// span-tree children of `parent` (the detector's `detect` root);
-    /// `None` leaves them as root spans.
+    /// `None` leaves them as root spans. With `words`, kept records of
+    /// `values` under `config`, only the first window is discretized and
+    /// the rest of the records are copied from `words` (see the module
+    /// docs).
     pub(crate) fn build_model_under<R: Recorder>(
         &mut self,
         config: &PipelineConfig,
         values: &[f64],
+        words: Option<Discretized<'_>>,
         recorder: &R,
         parent: Option<SpanId>,
     ) -> Result<GrammarModel> {
@@ -136,14 +150,23 @@ impl Workspace {
         // The SAX discretizer times the flat Discretize stage itself, so
         // the wrapper here lands on the span node only.
         let disc = SpanTimer::start(recorder, parent, Stage::Discretize);
+        // With carried records only the first window is discretized; a
+        // series shorter than one window takes the full path and its error.
+        let (head, words) = match (words, values.get(..config.window())) {
+            (Some(words), Some(head)) => (head, Some(words)),
+            _ => (values, None),
+        };
         config.sax().discretize_into(
-            values,
+            head,
             config.numerosity_reduction(),
             recorder,
             &mut self.records,
             &mut self.zbuf,
             &mut self.pbuf,
         )?;
+        if let Some(words) = words {
+            self.records.extend(words.after_first());
+        }
         disc.finish_span_only(recorder);
         let records = std::mem::take(&mut self.records);
         let mut dictionary = std::mem::take(&mut self.dictionary);
@@ -210,12 +233,23 @@ impl Workspace {
                 if let Some((_, model)) = stale {
                     self.recycle_model(model);
                 }
-                self.build_model_under(config, series.values(), recorder, parent)?
+                // Carried records serve only the configuration they
+                // were discretized under.
+                let words = series
+                    .words()
+                    .filter(|words| ModelKey::new(words.config, series) == key);
+                self.build_model_under(config, series.values(), words, recorder, parent)?
             }
         };
         let out = f(&model, self);
         self.slot = Some((key, model));
         Ok(out)
+    }
+
+    /// The model the slot holds, if any.
+    #[cfg(test)]
+    pub(crate) fn held_model(&self) -> Option<&GrammarModel> {
+        self.slot.as_ref().map(|(_, model)| model)
     }
 
     /// Capacities of every workspace-owned buffer, in a fixed order, for
